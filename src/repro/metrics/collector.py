@@ -74,12 +74,13 @@ class MetricsCollector:
         #: retry/speculation links between consecutive attempts.
         self._last_attempt_spans: Dict[Tuple[int, int, int], SpanRecord] = {}
         self._sinks: List = []
-        #: Per-(job, engine-label) cache of critical-path reports, so
-        #: the clarity aggregator, alert exemplar resolution, and xray
-        #: share one O(n log n) sweep per finished job instead of each
-        #: redoing it.  Invalidated whenever a span lands on (or closes
-        #: in) that job's trace.
-        self._critpath_cache: Dict[Tuple[int, str], object] = {}
+        #: Critical-path reports per job trace id, then per engine
+        #: label, so the clarity aggregator, alert exemplar resolution,
+        #: and xray share one O(n log n) sweep per finished job instead
+        #: of each redoing it.  A trace's entry is popped whenever a
+        #: span lands on (or closes in) it -- O(1), however many jobs
+        #: are cached.
+        self._critpath_cache: Dict[str, Dict[str, object]] = {}
         #: Callables invoked as ``fn(source, record)`` when an event
         #: record lands (source: "fault" | "health" | "driver" |
         #: "serve" | "alert").  The observability plane subscribes here
@@ -109,7 +110,7 @@ class MetricsCollector:
         """Append a complete (already closed) span."""
         self.spans.append(span)
         self._spans_by_trace.setdefault(span.trace_id, []).append(span)
-        self._invalidate_critpath(span.trace_id)
+        self._critpath_cache.pop(span.trace_id, None)
         for sink in self._sinks:
             sink.span_finished(span)
 
@@ -131,21 +132,9 @@ class MetricsCollector:
         if span is None:
             return
         span.end = now
-        self._invalidate_critpath(span.trace_id)
+        self._critpath_cache.pop(span.trace_id, None)
         for sink in self._sinks:
             sink.span_finished(span)
-
-    def _invalidate_critpath(self, trace_id: str) -> None:
-        """Drop cached critical paths of the job a span just touched."""
-        if not self._critpath_cache or not trace_id.startswith("job-"):
-            return
-        try:
-            job_id = int(trace_id[4:])
-        except ValueError:
-            return
-        stale = [key for key in self._critpath_cache if key[0] == job_id]
-        for key in stale:
-            del self._critpath_cache[key]
 
     def job_trace_id(self, job_id: int) -> str:
         """The trace id under which a job's spans are recorded."""
@@ -397,12 +386,13 @@ class MetricsCollector:
         xray diffs) wants the same report, so compute it once and
         invalidate if a late span ever lands on the trace.
         """
-        key = (job_id, engine)
-        report = self._critpath_cache.get(key)
+        reports = self._critpath_cache.setdefault(
+            self.job_trace_id(job_id), {})
+        report = reports.get(engine)
         if report is None:
             from repro.trace.critpath import critical_path
             report = critical_path(self, job_id, engine=engine)
-            self._critpath_cache[key] = report
+            reports[engine] = report
         return report
 
     def job(self, job_id: int) -> JobRecord:

@@ -44,6 +44,9 @@ class ResourceScheduler:
         self.prefer_phases_when = prefer_phases_when
         self._queues: "OrderedDict[str, Deque[Monotask]]" = OrderedDict()
         self._rr_cursor = 0
+        #: Monotasks waiting across all phase queues, kept in step with
+        #: every append and pop so reading it is O(1).
+        self._queued = 0
         self.running = 0
         #: Longest queue length seen (for contention reporting/tests).
         self.max_queue_length = 0
@@ -56,7 +59,7 @@ class ResourceScheduler:
     @property
     def queue_length(self) -> int:
         """Monotasks waiting (contention made visible, §3.1)."""
-        return sum(len(queue) for queue in self._queues.values())
+        return self._queued
 
     def submit(self, monotask: Monotask) -> None:
         """Enqueue a ready monotask; runs when the resource frees."""
@@ -70,7 +73,8 @@ class ResourceScheduler:
             queue = deque()
             self._queues[phase] = queue
         queue.append(monotask)
-        self.max_queue_length = max(self.max_queue_length, self.queue_length)
+        self._queued += 1
+        self.max_queue_length = max(self.max_queue_length, self._queued)
         self._dispatch()
 
     def _next_monotask(self) -> Optional[Monotask]:
@@ -93,10 +97,9 @@ class ResourceScheduler:
         return None
 
     def _dispatch(self) -> None:
-        while self.running < self.concurrency:
+        while self._queued and self.running < self.concurrency:
             monotask = self._next_monotask()
-            if monotask is None:
-                return
+            self._queued -= 1
             self.running += 1
             self.env.process(self._run(monotask))
 
@@ -130,6 +133,7 @@ class ResourceScheduler:
         for queue in self._queues.values():
             victims.extend(queue)
             queue.clear()
+        self._queued = 0
         for monotask in victims:
             if not monotask.done.triggered:
                 monotask.done.fail(MachineFailure(f"{self.name} is down"))

@@ -15,9 +15,7 @@ they do not understand instead of misparsing them.
 
 from __future__ import annotations
 
-import json
-from typing import IO, Optional
-
+from repro.trace.jsonl import JsonlWriter
 from repro.trace.spans import SpanLink, SpanRecord, link_to_json, span_to_json
 
 __all__ = ["JsonlSpanSink", "TRACE_SCHEMA"]
@@ -27,7 +25,7 @@ __all__ = ["JsonlSpanSink", "TRACE_SCHEMA"]
 TRACE_SCHEMA = 1
 
 
-class JsonlSpanSink:
+class JsonlSpanSink(JsonlWriter):
     """Writes one JSON object per line: finished spans and links.
 
     Usage::
@@ -40,11 +38,11 @@ class JsonlSpanSink:
     ``span_to_json``/``link_to_json`` helpers and floats are emitted
     with ``repr`` precision, so identical runs produce identical files.
     Each line gains a trailing ``schema`` field with :data:`TRACE_SCHEMA`.
+    Spans and links arriving after :meth:`close` are dropped.
     """
 
     def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle: Optional[IO[str]] = open(path, "w")
+        super().__init__(path)
         self.spans_written = 0
         self.links_written = 0
 
@@ -59,26 +57,5 @@ class JsonlSpanSink:
             self.links_written += 1
 
     def _write(self, record: dict) -> bool:
-        if self._handle is None:
-            return False  # Closed: late stragglers are dropped, not an error.
         record["schema"] = TRACE_SCHEMA
-        json.dump(record, self._handle, separators=(",", ":"))
-        self._handle.write("\n")
-        return True
-
-    def flush(self) -> None:
-        """Push buffered lines to the OS (no-op after close)."""
-        if self._handle is not None:
-            self._handle.flush()
-
-    def close(self) -> None:
-        """Flush and close the file (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JsonlSpanSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        return self.write_line(record)

@@ -28,11 +28,12 @@ property CI pins.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CapsuleError
 from repro.metrics.events import JobRecord, ServeRecord
 from repro.obs.journal import JournalEvent, fold_event
+from repro.trace.jsonl import JsonlWriter
 from repro.trace.spans import (SpanLink, SpanRecord, link_to_json,
                                span_to_json)
 
@@ -61,11 +62,6 @@ _SERVE_FIELDS = ("tenant", "template", "arrival", "job_id", "dispatched",
 #: the machine's, not the seed's, and would break the byte-identity of
 #: same-seed capsules that CI pins.
 WALL_CLOCK_METRICS = ("repro_obs_self_overhead_ms_per_s",)
-
-
-def _dump_line(handle: IO[str], record: Dict[str, Any]) -> None:
-    json.dump(record, handle, separators=(",", ":"))
-    handle.write("\n")
 
 
 def _serve_to_json(record: ServeRecord) -> Dict[str, Any]:
@@ -120,7 +116,7 @@ def _job_from_json(line: Dict[str, Any]) -> JobRecord:
                      start=line["start"], end=line["end"])
 
 
-class RunRecorder:
+class RunRecorder(JsonlWriter):
     """Streams one run into a capsule file via the collector hooks.
 
     Usage::
@@ -142,9 +138,8 @@ class RunRecorder:
 
     def __init__(self, path: str, engine: str = "", seed: int = 0,
                  config: Optional[Dict[str, Any]] = None) -> None:
-        self.path = path
+        super().__init__(path)
         self.engine = engine
-        self._handle: Optional[IO[str]] = open(path, "w", encoding="utf-8")
         self._counts: Dict[str, int] = {}
         self._metrics = None
         self._finalized = False
@@ -222,36 +217,20 @@ class RunRecorder:
                          "tenants": tenants})
 
     def _write(self, record: Dict[str, Any]) -> None:
-        if self._handle is None:
-            return  # closed: late stragglers are dropped, like the sinks
         record["schema"] = CAPSULE_SCHEMA
-        _dump_line(self._handle, record)
-        kind = record["type"]
-        self._counts[kind] = self._counts.get(kind, 0) + 1
-
-    def flush(self) -> None:
-        """Push buffered lines to the OS (no-op after close)."""
-        if self._handle is not None:
-            self._handle.flush()
+        if self.write_line(record):  # closed: late stragglers are dropped
+            kind = record["type"]
+            self._counts[kind] = self._counts.get(kind, 0) + 1
 
     def close(self) -> None:
         """Write the manifest footer and close (idempotent)."""
-        if self._handle is None:
-            return
         counts = {kind: self._counts.get(kind, 0) for kind in LINE_TYPES
                   if kind not in ("capsule", "manifest")
                   and self._counts.get(kind)}
-        _dump_line(self._handle, {
+        self.write_line({
             "type": "manifest", "schema": CAPSULE_SCHEMA, "counts": counts,
             "lines": sum(counts.values()) + 2})
-        self._handle.close()
-        self._handle = None
-
-    def __enter__(self) -> "RunRecorder":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        super().close()
 
 
 class Capsule:
@@ -433,10 +412,10 @@ class Capsule:
         bytes -- the round-trip property the tests pin, and the proof
         that parsing is lossless.
         """
-        with open(path, "w", encoding="utf-8") as handle:
+        with JsonlWriter(path) as writer:
             header = {k: v for k, v in self.header.items() if k != "schema"}
             header["schema"] = CAPSULE_SCHEMA
-            _dump_line(handle, header)
+            writer.write_line(header)
             for kind, payload in self._body:
                 if kind == "span":
                     record = span_to_json(payload)
@@ -455,13 +434,13 @@ class Capsule:
                 else:  # clarity / summary
                     record = {"type": kind, **payload}
                 record["schema"] = CAPSULE_SCHEMA
-                _dump_line(handle, record)
+                writer.write_line(record)
             manifest = {k: v for k, v in self.manifest.items()
                         if k != "schema"}
             manifest = {"type": "manifest", "schema": CAPSULE_SCHEMA,
                         **{k: v for k, v in manifest.items()
                            if k != "type"}}
-            _dump_line(handle, manifest)
+            writer.write_line(manifest)
 
     def describe(self) -> str:
         """One human line: what this capsule holds."""

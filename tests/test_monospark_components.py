@@ -85,6 +85,44 @@ class TestResourceScheduler:
         env.run()
         assert scheduler.queue_length == 0
 
+    def test_queue_count_matches_queues_through_crash_and_revive(self):
+        # queue_length is a running count; it must equal the recomputed
+        # sum over phase queues after every submit, dispatch, crash and
+        # revive.
+        env = Environment()
+        log = []
+        scheduler = ResourceScheduler(env, concurrency=2, name="test")
+
+        def check():
+            recount = sum(len(q) for q in scheduler._queues.values())
+            assert scheduler.queue_length == recount
+
+        def submit(phase):
+            monotask = FakeMonotask(env, phase, 1.0, log)
+            monotask.done.defused = True  # the crash fails it, unobserved
+            scheduler.submit(monotask)
+            check()
+
+        for index in range(7):
+            submit(f"p{index % 3}")
+        assert scheduler.queue_length == 5
+        env.run(until=1.5)  # one wave done, the second running
+        check()
+        assert scheduler.queue_length == 3
+        scheduler.fail_all()
+        check()
+        assert scheduler.queue_length == 0
+        submit("p0")  # rejected: the machine is down
+        env.run()
+        scheduler.revive()
+        for index in range(4):
+            submit(f"p{index % 2}")
+        assert scheduler.queue_length == 2
+        env.run()
+        check()
+        assert scheduler.queue_length == 0
+        assert scheduler.max_queue_length == 5
+
     def test_invalid_concurrency(self):
         with pytest.raises(SimulationError):
             ResourceScheduler(Environment(), concurrency=0, name="bad")

@@ -319,6 +319,27 @@ class TestCollectorCache:
         assert ctx.metrics.critical_path_report(
             job_id, engine="monospark") is not first
 
+    def test_late_span_drops_only_its_own_job(self):
+        from repro.trace.spans import SPAN_MONOTASK, SpanRecord
+        from repro.workloads.wordcount import word_count
+        ctx = self._run_job()
+        job_a = ctx.last_result.job_id
+        word_count(ctx)
+        job_b = ctx.last_result.job_id
+        assert job_a != job_b
+        first_a = ctx.metrics.critical_path_report(job_a,
+                                                   engine="monospark")
+        first_b = ctx.metrics.critical_path_report(job_b,
+                                                   engine="monospark")
+        ctx.metrics.record_span(SpanRecord(
+            span_id=10 ** 9, trace_id=f"job-{job_a}", parent_id=None,
+            kind=SPAN_MONOTASK, name="late", start=0.0, end=0.1,
+            machine_id=0, resource="cpu", phase="compute"))
+        assert ctx.metrics.critical_path_report(
+            job_a, engine="monospark") is not first_a
+        assert ctx.metrics.critical_path_report(
+            job_b, engine="monospark") is first_b
+
     def test_engine_label_keys_are_distinct(self):
         ctx = self._run_job()
         job_id = ctx.last_result.job_id
