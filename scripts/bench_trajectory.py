@@ -65,10 +65,17 @@ Usage:
     python scripts/bench_trajectory.py --bench xray
         [--output BENCH_xray.json] [--check BASELINE] [--repeats 2]
 
-Exit status 0 on match, 1 on drift or a failed acceptance gate.
+The check runs before the fresh result is written, and ``--output``
+and ``--check`` must name different files, so a check never compares
+the baseline with a copy of the result or replaces it with a drifted
+one.
+
+Exit status 0 on match, 1 on drift or a failed acceptance gate, 2 when
+``--output`` and ``--check`` are the same file.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -389,77 +396,72 @@ def main(argv=None) -> int:
                              "cross-check repeats (default 2)")
     args = parser.parse_args(argv)
     output = args.output or DEFAULT_OUTPUTS[args.bench]
+    if args.check is not None and _same_file(output, args.check):
+        print(f"--output and --check are the same file ({args.check}): the "
+              f"fresh result would overwrite the baseline it is checked "
+              f"against; pass --output a scratch path", file=sys.stderr)
+        return 2
 
     if args.bench == "datasvc":
         result = compute_datasvc(args.repeats)
-        write(result, output)
         mono = result["invariants"]["monospark"]
-        print(f"wrote {output}: co-located crash outcomes "
-              f"{mono['colocated_crash_outcomes']} vs disaggregated "
-              f"{mono['datasvc_crash_outcomes']}")
-        if args.check is not None:
-            return check_datasvc(result, args.check)
-        return 0
-
-    if args.bench == "controlplane":
+        summary = (f"co-located crash outcomes "
+                   f"{mono['colocated_crash_outcomes']} vs disaggregated "
+                   f"{mono['datasvc_crash_outcomes']}")
+        check = check_datasvc
+    elif args.bench == "controlplane":
         result = compute_controlplane(args.repeats)
-        write(result, output)
         inv = result["invariants"]
         scaling = inv["driver_scaling"]
         rates = ", ".join(f"{n}={scaling[n]['jobs_per_s']}"
                           for n in sorted(scaling, key=int))
-        print(f"wrote {output}: jobs/s by drivers ({rates}); crash with "
-              f"failover lost {inv['crash_failover_on']['jobs_lost']} "
-              f"(resumed {inv['crash_failover_on']['jobs_resumed']}) vs "
-              f"{inv['crash_failover_off']['jobs_lost']} without")
-        if args.check is not None:
-            return check_controlplane(result, args.check)
-        return 0
-
-    if args.bench == "obs":
+        summary = (f"jobs/s by drivers ({rates}); crash with failover lost "
+                   f"{inv['crash_failover_on']['jobs_lost']} (resumed "
+                   f"{inv['crash_failover_on']['jobs_resumed']}) vs "
+                   f"{inv['crash_failover_off']['jobs_lost']} without")
+        check = check_controlplane
+    elif args.bench == "obs":
         result = compute_obs(args.repeats)
-        write(result, output)
         slow = result["invariants"]["fail_slow"]
-        print(f"wrote {output}: source-slow fired at "
-              f"{slow['source_slow_fired_at']}s (fault at "
-              f"{result['workload']['slow_at']}s, exclusion at "
-              f"{slow['health_excluded_at']}s); overhead "
-              f"{result['observed_overhead']['ms_per_sim_s']} ms/sim-s")
-        if args.check is not None:
-            return check_obs(result, args.check)
-        return 0
-
-    if args.bench == "xray":
+        summary = (f"source-slow fired at {slow['source_slow_fired_at']}s "
+                   f"(fault at {result['workload']['slow_at']}s, exclusion "
+                   f"at {slow['health_excluded_at']}s); overhead "
+                   f"{result['observed_overhead']['ms_per_sim_s']} ms/sim-s")
+        check = check_obs
+    elif args.bench == "xray":
         result = compute_xray(args.repeats)
-        write(result, output)
-        blame = result["invariants"]["blame"]
-        print(f"wrote {output}: {blame['narrative']}")
-        if args.check is not None:
-            return check_xray(result, args.check)
-        return 0
-
-    if args.bench == "clarity":
+        summary = result["invariants"]["blame"]["narrative"]
+        check = check_xray
+    elif args.bench == "clarity":
         result = compute_clarity()
-        write(result, output)
-        print(f"wrote {output}: {result['jobs']} jobs, top pick "
-              f"{result['advisor_top']}, worst p95 error "
-              f"{result['max_error_p95']:.2%}")
-        if args.check is not None:
-            return check_clarity(result, args.check, args.tolerance)
-        return 0
+        summary = (f"{result['jobs']} jobs, top pick {result['advisor_top']}, "
+                   f"worst p95 error {result['max_error_p95']:.2%}")
+        check = functools.partial(check_clarity, tolerance=args.tolerance)
+    else:
+        result = compute_kernel(args.repeats,
+                                args.check or DEFAULT_OUTPUTS["kernel"])
+        current = result["current"]
+        speedup = result.get("speedup_monotasks")
+        summary = (f"{result['invariants']['monotasks']} monotasks in "
+                   f"{current['wall_s']}s wall "
+                   f"({current['monotasks_per_s']} monotasks/s"
+                   + (f", {speedup}x over the frozen baseline)"
+                      if speedup else ")"))
+        check = check_kernel
 
-    carry = args.check or DEFAULT_OUTPUTS["kernel"]
-    result = compute_kernel(args.repeats, carry)
+    # Compare before writing: the baseline must be read as committed.
+    status = 0 if args.check is None else check(result, args.check)
     write(result, output)
-    current = result["current"]
-    speedup = result.get("speedup_monotasks")
-    print(f"wrote {output}: {result['invariants']['monotasks']} monotasks "
-          f"in {current['wall_s']}s wall "
-          f"({current['monotasks_per_s']} monotasks/s"
-          + (f", {speedup}x over the frozen baseline)" if speedup else ")"))
-    if args.check is not None:
-        return check_kernel(result, args.check)
-    return 0
+    print(f"wrote {output}: {summary}")
+    return status
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file (symlinks and hard links too)."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    return (os.path.exists(a) and os.path.exists(b)
+            and os.path.samefile(a, b))
 
 
 if __name__ == "__main__":

@@ -1,10 +1,14 @@
 """Unit tests for the max-min fair network fabric."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import MB
-from repro.errors import SimulationError
-from repro.simulator import Environment, Network
+from repro.errors import (Interrupted, LinkPartitionError, MachineFailure,
+                          SimulationError)
+from repro.simulator import BusyTracker, Environment, Network
 from repro.simulator.network import FLOW_LATENCY_S
 
 BW = 100 * MB  # symmetric link bandwidth used in these tests
@@ -144,3 +148,331 @@ def test_many_flows_conserve_bandwidth():
     # 16 flows, each sender uplink 100 MB/s shared by 4 flows -> 25 MB/s
     # each; total 400 MB moved through 400 MB/s of aggregate capacity.
     assert env.now == pytest.approx(1.0, rel=0.02)
+
+
+# -- differential check against flow-by-flow water-filling --------------------
+
+
+class _RefFlow:
+    __slots__ = ("src", "dst", "nbytes", "remaining", "rate", "last_update",
+                 "done", "label")
+
+    def __init__(self, env, src, dst, nbytes, label):
+        self.src, self.dst, self.label = src, dst, label
+        self.nbytes = self.remaining = float(nbytes)
+        self.rate = 0.0
+        self.last_update = env.now
+        self.done = env.event()
+
+
+class FlowByFlowNetwork:
+    """Reference model: max-min fair water-filling over every flow.
+
+    The direct per-flow algorithm, which :class:`Network`'s
+    water-filling over (src, dst) pairs must reproduce to the bit.
+    """
+
+    def __init__(self, env):
+        self.env = env
+        self.up, self.down, self.factor = {}, {}, {}
+        self.machine_up, self.partitions = {}, set()
+        self.flows = []
+        self.waiter, self.wake_at = None, float("inf")
+        self.completion_log = []
+        self.rx_trackers, self.tx_trackers = {}, {}
+
+    def register_machine(self, machine, up_bps, down_bps):
+        self.up[machine], self.down[machine] = up_bps, down_bps
+        self.factor[machine] = self.factor[~machine] = 1.0
+        self.machine_up[machine] = True
+        self.rx_trackers[machine] = BusyTracker(self.env, 1)
+        self.tx_trackers[machine] = BusyTracker(self.env, 1)
+
+    def set_machine_up(self, machine, up):
+        self.machine_up[machine] = up
+
+    def transfer(self, src, dst, nbytes, label):
+        flow = _RefFlow(self.env, src, dst, nbytes, label)
+        if not (self.machine_up[src] and self.machine_up[dst]):
+            flow.done.fail(MachineFailure("endpoint is down"))
+        elif src != dst and (src, dst) in self.partitions:
+            flow.done.fail(LinkPartitionError("link partitioned"))
+        elif nbytes <= 0 or src == dst:
+            self.env.process(self._deliver([flow]))
+        else:
+            self.flows.append(flow)
+            self._rebalance()
+        return flow.done
+
+    def _deliver(self, finished):
+        yield self.env.timeout(FLOW_LATENCY_S)
+        for flow in finished:
+            if not flow.done.triggered:
+                self.completion_log.append(
+                    (self.env.now, flow.nbytes, flow.dst, flow.src))
+                flow.done.succeed(flow)
+
+    def _compute_rates(self):
+        by_link, count, cap = {}, {}, {}
+        for flow in self.flows:
+            flow.rate = -1.0
+            for link, bps in ((flow.src, self.up[flow.src]),
+                              (~flow.dst, self.down[flow.dst])):
+                if link not in by_link:
+                    by_link[link], count[link] = [], 0
+                    cap[link] = bps * self.factor[link]
+                by_link[link].append(flow)
+                count[link] += 1
+        while count:
+            best = min(count, key=lambda l: cap[l] / count[l])
+            share = max(cap[best] / count[best], 1e-6)
+            for flow in by_link[best]:
+                if flow.rate >= 0.0:
+                    continue
+                flow.rate = share
+                link = ~flow.dst if best == flow.src else flow.src
+                if count[link] == 1:
+                    del count[link], cap[link]
+                else:
+                    count[link] -= 1
+                    cap[link] -= share
+            del count[best], cap[best]
+
+    def _bank_progress(self):
+        for flow in self.flows:
+            elapsed = self.env.now - flow.last_update
+            if elapsed > 0 and flow.rate > 0:
+                flow.remaining = max(0.0,
+                                     flow.remaining - flow.rate * elapsed)
+            flow.last_update = self.env.now
+
+    def _update_trackers(self):
+        for trackers, side in ((self.rx_trackers, "dst"),
+                               (self.tx_trackers, "src")):
+            busy = {getattr(flow, side) for flow in self.flows}
+            for machine, tracker in trackers.items():
+                if tracker.busy != (machine in busy):
+                    tracker.set_busy(int(machine in busy))
+
+    def _next_deadline(self):
+        return self.env.now + min(f.remaining / max(f.rate, 1e-12)
+                                  for f in self.flows)
+
+    def _rebalance(self):
+        self._bank_progress()
+        self._compute_rates()
+        self._update_trackers()
+        self._arm()
+
+    def _arm(self):
+        if not self.flows:
+            self.wake_at = float("inf")
+            return
+        wake_at = self._next_deadline()
+        if self.waiter is None or not self.waiter.is_alive:
+            self.wake_at = wake_at
+            self.waiter = self.env.process(self._completion_loop())
+        elif wake_at < self.wake_at:
+            self.wake_at = wake_at
+            self.waiter.interrupt(cause="rearm")
+
+    def _completion_loop(self):
+        while self.flows:
+            delay = self.wake_at - self.env.now
+            if delay > 0:
+                try:
+                    yield self.env.timeout(delay)
+                except Interrupted:
+                    continue
+                if not self.flows:
+                    break
+            self._bank_progress()
+            finished = [f for f in self.flows if f.remaining <= 1e-6]
+            if not finished:
+                soonest = self._next_deadline() - self.env.now
+                if soonest >= 1e-9:
+                    self.wake_at = self.env.now + soonest
+                    continue
+                closest = min(self.flows, key=lambda f: f.remaining)
+                closest.remaining = 0.0
+                finished = [closest]
+            for flow in finished:
+                self.flows.remove(flow)
+            self._compute_rates()
+            self._update_trackers()
+            if self.flows:
+                self.wake_at = self._next_deadline()
+            self.env.process(self._deliver(finished))
+
+    def _kill(self, doomed, error):
+        self._bank_progress()
+        dead = [f for f in self.flows if doomed(f)]
+        for flow in dead:
+            self.flows.remove(flow)
+        self._compute_rates()
+        self._update_trackers()
+        self._arm()
+        for flow in dead:
+            flow.done.fail(error("killed"))
+
+    def fail_machine(self, machine):
+        self._kill(lambda f: machine in (f.src, f.dst), MachineFailure)
+
+    def partition_link(self, src, dst):
+        self.partitions.add((src, dst))
+        self._kill(lambda f: (f.src, f.dst) == (src, dst),
+                   LinkPartitionError)
+
+    def heal_link(self, src, dst):
+        self.partitions.discard((src, dst))
+
+    def degrade_link(self, machine, up_factor=1.0, down_factor=1.0):
+        self.factor[machine], self.factor[~machine] = up_factor, down_factor
+        if self.flows:
+            self._rebalance()
+
+    def restore_link(self, machine):
+        self.degrade_link(machine)
+
+    def rates_snapshot(self):
+        return {flow.label: flow.rate for flow in self.flows}
+
+
+#: Few distinct sizes so shares tie and equal-size flows finish together.
+_SIZES = (0, 1, 8 * MB, 16 * MB, 16 * MB, 40 * MB, 128 * MB)
+_FACTORS = (0.1, 0.5, 1.0)
+
+
+def churn_script(rng, machines, steps):
+    """A timed script of transfers and faults drawn from ``rng``.
+
+    Most transfers reuse a few hot (src, dst) pairs and start at the
+    same instant as the previous step, so pairs carry several flows and
+    equal flows finish together; local (src == dst) and zero-byte
+    transfers, crashes, partitions and NIC degradation are mixed in.
+    """
+    def pick():
+        return (rng.randrange(machines), rng.randrange(machines))
+
+    hot = [pick() for _ in range(rng.randint(2, 8))]
+    script = []
+    for _ in range(steps):
+        pair = rng.choice(hot) if rng.random() < 0.7 else pick()
+        machine = rng.randrange(machines)
+        roll = rng.random()
+        if roll < 0.85:
+            size = (rng.choice(_SIZES) if rng.random() < 0.8
+                    else rng.uniform(1.0, 50 * MB))
+            op = ("transfer", pair, size)
+        elif roll < 0.86:
+            op = ("crash", machine)
+        elif roll < 0.9:
+            op = ("revive", machine)
+        elif roll < 0.91:
+            op = ("partition", pair)
+        elif roll < 0.93:
+            op = ("heal", pair)
+        elif roll < 0.97:
+            op = ("degrade", machine, rng.choice(_FACTORS),
+                  rng.choice(_FACTORS))
+        else:
+            op = ("restore", machine)
+        delay = rng.choice((0.0, 0.0, 0.0, 0.0, 0.005, 0.02, 0.1))
+        script.append((delay, op))
+    return script
+
+
+@st.composite
+def churn(draw):
+    """A cluster plus a seeded churn script for it."""
+    machines = draw(st.integers(2, 8))
+    if draw(st.integers(0, 2)):
+        links = [(BW, BW)] * machines  # symmetric: shares tie exactly
+    else:
+        speeds = st.sampled_from((30 * MB, 100 * MB, 125 * MB))
+        links = [(draw(speeds), draw(speeds)) for _ in range(machines)]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return links, churn_script(rng, machines, draw(st.integers(1, 200)))
+
+
+def _drive(model, links, script, on_step=None):
+    """Run ``script`` on a fresh ``model`` fabric; everything observable.
+
+    ``on_step(net, index)`` runs before each step; its return values are
+    collected too.
+    """
+    env = Environment()
+    net = model(env)
+    for machine, (up, down) in enumerate(links):
+        net.register_machine(machine, up_bps=up, down_bps=down)
+    outcomes = []
+    probes = []
+
+    def watch(index):
+        def settle(event):
+            if event.ok:
+                outcomes.append((index, env.now, "ok"))
+            else:
+                event.defused = True
+                outcomes.append((index, env.now, type(event.value).__name__))
+        return settle
+
+    def run():
+        for index, (delay, (kind, *args)) in enumerate(script):
+            if delay:
+                yield env.timeout(delay)
+            if on_step is not None:
+                probes.append(on_step(net, index))
+            if kind == "transfer":
+                (src, dst), nbytes = args
+                net.transfer(src, dst, nbytes,
+                             label=str(index)).add_callback(watch(index))
+            elif kind == "crash":
+                net.set_machine_up(args[0], False)
+                net.fail_machine(args[0])
+            elif kind == "revive":
+                net.set_machine_up(args[0], True)
+            elif kind == "partition":
+                net.partition_link(*args[0])
+            elif kind == "heal":
+                net.heal_link(*args[0])
+            elif kind == "degrade":
+                net.degrade_link(*args)
+            else:
+                net.restore_link(args[0])
+
+    env.process(run())
+    env.run()
+    trackers = {side: {m: list(t.changes) for m, t in getattr(
+        net, f"{side}_trackers").items()} for side in ("rx", "tx")}
+    return outcomes, list(net.completion_log), trackers, env.now, probes
+
+
+def _rates(net, index):
+    return net.rates_snapshot()
+
+
+@settings(max_examples=200, deadline=None)
+@given(churn())
+def test_pair_model_is_bit_identical_to_flow_by_flow(case):
+    links, script = case
+    ours = _drive(Network, links, script, on_step=_rates)
+    reference = _drive(FlowByFlowNetwork, links, script, on_step=_rates)
+    # Exact equality: same finish times and failures, same completion
+    # order, same busy-tracker change points, same rate of every flow
+    # in the air at every step.
+    assert ours == reference
+
+
+@settings(max_examples=50, deadline=None)
+@given(churn(), st.randoms(use_true_random=False))
+def test_rates_snapshot_does_not_perturb_the_run(case, rng):
+    links, script = case
+    probes = {index for index in range(len(script)) if rng.random() < 0.5}
+
+    def probe(net, index):
+        if index in probes:
+            net.rates_snapshot()
+
+    assert (_drive(Network, links, script, on_step=probe)[:4]
+            == _drive(Network, links, script)[:4])
