@@ -11,7 +11,8 @@ re-runs) and reports worst-case relative error under 30%; the
 
 Everything is deterministic: the same :class:`ClarityWorkload` yields
 byte-identical :class:`ValidationResult` JSON, which seeds the repo's
-benchmark trajectory (``BENCH_clarity.json``) and is diffed in CI.
+benchmark trajectory (``BENCH_clarity.json``, :data:`SCENARIO` for
+:mod:`repro.bench`) and is diffed in CI.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.context import AnalyticsContext
+from repro.bench import Scenario
 from repro.clarity.advisor import (AdvisorReport, Candidate, CapacityAdvisor)
 from repro.clarity.aggregator import BottleneckWindow, ClarityAggregator
 from repro.cluster.cluster import Cluster
@@ -31,7 +33,8 @@ from repro.model.predictor import WhatIf
 from repro.workloads.scaling import scaled_memory_overrides
 
 __all__ = ["ClarityWorkload", "CandidateOutcome", "ValidationResult",
-           "run_clarity_serving", "validate_advisor", "ERROR_ENVELOPE"]
+           "run_clarity_serving", "validate_advisor", "ERROR_ENVELOPE",
+           "SCENARIO"]
 
 #: The paper's worst-case relative prediction error (§6.2).
 ERROR_ENVELOPE = 0.30
@@ -278,3 +281,24 @@ def validate_advisor(workload: ClarityWorkload = ClarityWorkload()
         advisor=advisor_report,
         bottleneck=aggregator.bottleneck(),
         outcomes=outcomes)
+
+
+def _ranking_gate(fresh: Dict) -> Optional[str]:
+    if not fresh["ranking_matches"]:
+        return "advisor ranking no longer matches ground truth"
+    return None
+
+
+def _envelope_gate(fresh: Dict) -> Optional[str]:
+    if fresh["max_error_p95"] > ERROR_ENVELOPE:
+        return (f"max_error_p95 {fresh['max_error_p95']} exceeds the "
+                f"{ERROR_ENVELOPE} envelope")
+    return None
+
+
+#: The committed trajectory is the flat ``to_json`` dict.  Its numbers
+#: are re-simulated percentiles, so they may move by 0.02 absolute.
+SCENARIO = Scenario(
+    name="clarity", workload={}, flat=True, tolerance=0.02,
+    run=lambda: (validate_advisor().to_json(), {}),
+    gates=(_ranking_gate, _envelope_gate))

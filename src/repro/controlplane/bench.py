@@ -20,21 +20,25 @@ replicated masters):
   the benchmark's headline number.
 
 Every number in the summary is a deterministic function of the seed, so
-CI diffs the committed ``BENCH_controlplane.json`` exactly; the
-benchmark runs twice and raises on cross-run drift, making every
-invocation double as a determinism check.
-
-``scripts/bench_trajectory.py --bench controlplane`` runs exactly this
-code.
+CI diffs the committed ``BENCH_controlplane.json`` exactly.
+:data:`SCENARIO` is this benchmark for :mod:`repro.bench`, which
+repeats it as a determinism check; ``scripts/bench_trajectory.py
+--bench controlplane`` runs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import asdict, dataclass
+from typing import Dict
 
-__all__ = ["ControlPlaneWorkload", "run_controlplane_benchmark",
-           "trajectory_summary"]
+from repro.api.context import AnalyticsContext
+from repro.bench import Scenario
+from repro.cluster import hdd_cluster
+from repro.controlplane import ControlPlane, ControlPlanePolicy
+from repro.faults import DriverCrash, FaultInjector, FaultPlan
+from repro.serve.workload import PoissonArrivals, wordcount_template
+
+__all__ = ["ControlPlaneWorkload", "SCENARIO"]
 
 
 @dataclass(frozen=True)
@@ -62,32 +66,11 @@ class ControlPlaneWorkload:
     crash_driver: int = 1
     crash_at: float = 20.0
 
-    def params(self) -> Dict:
-        """The workload knobs, for embedding in the JSON summary."""
-        return {
-            "machines": self.machines, "disks": self.disks,
-            "seed": self.seed, "tenants": self.tenants,
-            "control_service_s": self.control_service_s,
-            "scale_rate_per_s": self.scale_rate_per_s,
-            "scale_horizon_s": self.scale_horizon_s,
-            "scale_driver_counts": list(self.scale_driver_counts),
-            "crash_rate_per_s": self.crash_rate_per_s,
-            "crash_horizon_s": self.crash_horizon_s,
-            "crash_num_drivers": self.crash_num_drivers,
-            "crash_driver": self.crash_driver,
-            "crash_at": self.crash_at,
-        }
-
 
 def _plane(workload: ControlPlaneWorkload, num_drivers: int,
            rate_per_s: float, horizon_s: float, num_blocks: int,
            block_mb: float, failover: bool = True):
     """Build one ready-to-run plane over a fresh context."""
-    from repro.api.context import AnalyticsContext
-    from repro.cluster import hdd_cluster
-    from repro.controlplane import ControlPlane, ControlPlanePolicy
-    from repro.serve.workload import PoissonArrivals, wordcount_template
-
     cluster = hdd_cluster(num_machines=workload.machines,
                           num_disks=workload.disks, seed=workload.seed)
     ctx = AnalyticsContext(cluster, engine="monospark")
@@ -146,8 +129,6 @@ def _scaling_invariants(workload: ControlPlaneWorkload) -> Dict:
 def _crash_invariants(workload: ControlPlaneWorkload,
                       failover: bool) -> Dict:
     """One mid-run leader crash, failover on or off."""
-    from repro.faults import DriverCrash, FaultInjector, FaultPlan
-
     plane = _plane(workload, workload.crash_num_drivers,
                    workload.crash_rate_per_s, workload.crash_horizon_s,
                    num_blocks=2, block_mb=4.0, failover=failover)
@@ -190,38 +171,13 @@ def _crash_invariants(workload: ControlPlaneWorkload,
     return invariants
 
 
-def run_controlplane_benchmark(
-        workload: Optional[ControlPlaneWorkload] = None,
-        repeats: int = 2) -> Dict:
-    """All invariants, verified byte-stable across repeats."""
-    if workload is None:
-        workload = ControlPlaneWorkload()
-    best: Optional[Dict] = None
-    for _ in range(max(1, repeats)):
-        invariants = {
-            "driver_scaling": _scaling_invariants(workload),
-            "crash_failover_on": _crash_invariants(workload,
-                                                   failover=True),
-            "crash_failover_off": _crash_invariants(workload,
-                                                    failover=False),
-        }
-        if best is None:
-            best = invariants
-        elif invariants != best:
-            raise AssertionError(
-                f"non-deterministic benchmark run: {invariants} != {best}")
-    return best
+_WORKLOAD = ControlPlaneWorkload()
 
-
-def trajectory_summary(invariants: Dict,
-                       workload: Optional[ControlPlaneWorkload] = None,
-                       repeats: int = 2) -> Dict:
-    """The byte-stable JSON dict ``BENCH_controlplane.json`` holds."""
-    if workload is None:
-        workload = ControlPlaneWorkload()
-    return {
-        "benchmark": "controlplane_failover",
-        "workload": workload.params(),
-        "repeats": repeats,
-        "invariants": invariants,
-    }
+SCENARIO = Scenario(
+    name="controlplane", benchmark="controlplane_failover",
+    workload=asdict(_WORKLOAD),
+    run=lambda: ({
+        "driver_scaling": _scaling_invariants(_WORKLOAD),
+        "crash_failover_on": _crash_invariants(_WORKLOAD, failover=True),
+        "crash_failover_off": _crash_invariants(_WORKLOAD, failover=False),
+    }, {}))

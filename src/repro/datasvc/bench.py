@@ -17,19 +17,25 @@ seeded, deterministic invariants:
   counter -- with byte-identical job results.
 
 Every number in the summary is a deterministic function of the seed, so
-CI diffs the committed ``BENCH_datasvc.json`` *exactly*; the benchmark
-itself runs twice and raises on any cross-run drift, which makes every
-invocation double as a determinism check.
-
-``scripts/bench_trajectory.py --bench datasvc`` runs exactly this code.
+CI diffs the committed ``BENCH_datasvc.json`` *exactly*.  :data:`SCENARIO`
+is this benchmark for :mod:`repro.bench`, which repeats it as a
+determinism check; ``scripts/bench_trajectory.py --bench datasvc`` runs
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Tuple
 
-__all__ = ["DataSvcWorkload", "run_datasvc_benchmark", "trajectory_summary"]
+from repro.api.context import AnalyticsContext
+from repro.bench import Scenario
+from repro.cluster import hdd_cluster
+from repro.datasvc.service import DataService
+from repro.faults import (BlockCorruption, FaultInjector, FaultPlan,
+                          MachineCrash, StorageNodeCrash)
+
+__all__ = ["DataSvcWorkload", "SCENARIO"]
 
 
 @dataclass(frozen=True)
@@ -53,20 +59,6 @@ class DataSvcWorkload:
     corrupt_node: int = 0
     corrupt_at: float = 0.004
 
-    def params(self) -> Dict:
-        """The workload knobs, for embedding in the JSON summary."""
-        return {
-            "machines": self.machines, "disks": self.disks,
-            "seed": self.seed, "records": self.records,
-            "num_partitions": self.num_partitions,
-            "num_nodes": self.num_nodes, "replication": self.replication,
-            "crash_machine": self.crash_machine,
-            "crash_scale": self.crash_scale,
-            "restart_after": self.restart_after,
-            "corrupt_node": self.corrupt_node,
-            "corrupt_at": self.corrupt_at,
-        }
-
 
 def _word_count(ctx, workload: DataSvcWorkload) -> List[Tuple[str, int]]:
     records = [f"w{i % 17} w{i % 11}" for i in range(workload.records)]
@@ -81,11 +73,6 @@ def _word_count(ctx, workload: DataSvcWorkload) -> List[Tuple[str, int]]:
 def _run(workload: DataSvcWorkload, engine: str, disaggregated: bool,
          plan=None):
     """One job under one configuration; returns (ctx, service, results)."""
-    from repro.api.context import AnalyticsContext
-    from repro.cluster import hdd_cluster
-    from repro.datasvc.service import DataService
-    from repro.faults import FaultInjector
-
     cluster = hdd_cluster(num_machines=workload.machines,
                           num_disks=workload.disks, seed=workload.seed)
     service = None
@@ -114,9 +101,6 @@ def _outcomes(ctx) -> Dict[str, int]:
 
 def _engine_invariants(workload: DataSvcWorkload, engine: str) -> Dict:
     """All deterministic numbers for one engine, gates enforced."""
-    from repro.faults import (BlockCorruption, FaultPlan, MachineCrash,
-                              StorageNodeCrash)
-
     clean_ctx, _, expected = _run(workload, engine, disaggregated=False)
     crash_at = _map_end(clean_ctx) * workload.crash_scale
     crash = FaultPlan([MachineCrash(at=crash_at,
@@ -173,32 +157,9 @@ def _engine_invariants(workload: DataSvcWorkload, engine: str) -> Dict:
     }
 
 
-def run_datasvc_benchmark(workload: Optional[DataSvcWorkload] = None,
-                          repeats: int = 2) -> Dict:
-    """Both engines' invariants, verified byte-stable across repeats."""
-    if workload is None:
-        workload = DataSvcWorkload()
-    best: Optional[Dict] = None
-    for _ in range(max(1, repeats)):
-        invariants = {engine: _engine_invariants(workload, engine)
-                      for engine in ("monospark", "spark")}
-        if best is None:
-            best = invariants
-        elif invariants != best:
-            raise AssertionError(
-                f"non-deterministic benchmark run: {invariants} != {best}")
-    return best
+_WORKLOAD = DataSvcWorkload()
 
-
-def trajectory_summary(invariants: Dict,
-                       workload: Optional[DataSvcWorkload] = None,
-                       repeats: int = 2) -> Dict:
-    """The byte-stable JSON dict ``BENCH_datasvc.json`` holds."""
-    if workload is None:
-        workload = DataSvcWorkload()
-    return {
-        "benchmark": "datasvc_faults",
-        "workload": workload.params(),
-        "repeats": repeats,
-        "invariants": invariants,
-    }
+SCENARIO = Scenario(
+    name="datasvc", benchmark="datasvc_faults", workload=asdict(_WORKLOAD),
+    run=lambda: ({engine: _engine_invariants(_WORKLOAD, engine)
+                  for engine in ("monospark", "spark")}, {}))

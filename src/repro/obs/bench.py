@@ -21,20 +21,31 @@ health signal" recast online):
   ``driver-down`` alert names the dead replica and the journal records
   the crash as critical.
 
-Every invariant is a deterministic function of the seed: the benchmark
-runs the scenario set twice and raises on any cross-run drift, so CI
-diffs the committed ``BENCH_obs.json`` invariants exactly.  Wall-clock
+Every invariant is a deterministic function of the seed, so CI diffs
+the committed ``BENCH_obs.json`` invariants exactly.  Wall-clock
 overhead is machine-dependent -- it is budget-gated, never diffed.
-
-``scripts/bench_trajectory.py --bench obs`` runs exactly this code.
+:data:`SCENARIO` is this benchmark for :mod:`repro.bench`, which
+repeats it as a determinism check and keeps the lowest overhead;
+``scripts/bench_trajectory.py --bench obs`` runs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["ObsWorkload", "run_obs_benchmark", "trajectory_summary"]
+from repro.api.context import AnalyticsContext
+from repro.bench import Scenario
+from repro.cluster import hdd_cluster
+from repro.controlplane import ControlPlane
+from repro.faults import DriverCrash, FaultInjector, FaultPlan, fail_slow_plan
+from repro.health import HealthMonitor, HealthPolicy
+from repro.obs import ObservabilityPlane
+from repro.serve import JobServer
+from repro.serve.workload import (PoissonArrivals, TraceArrivals,
+                                  wordcount_template)
+
+__all__ = ["ObsWorkload", "SCENARIO"]
 
 
 @dataclass(frozen=True)
@@ -71,35 +82,6 @@ class ObsWorkload:
     crash_rate_per_s: float = 0.3
     crash_horizon_s: float = 40.0
     crash_tenants: int = 4
-
-    def params(self) -> Dict:
-        """The workload knobs, for embedding in the JSON summary."""
-        return {
-            "machines": self.machines, "disks": self.disks,
-            "seed": self.seed,
-            "overhead_budget_ms_per_sim_s":
-                self.overhead_budget_ms_per_sim_s,
-            "free_rate_per_s": self.free_rate_per_s,
-            "free_horizon_s": self.free_horizon_s,
-            "free_slo_s": self.free_slo_s,
-            "free_num_blocks": self.free_num_blocks,
-            "free_block_mb": self.free_block_mb,
-            "slow_machine": self.slow_machine,
-            "slow_at": self.slow_at,
-            "slow_factor": self.slow_factor,
-            "slow_tenant": self.slow_tenant,
-            "slow_slo_s": self.slow_slo_s,
-            "slow_num_blocks": self.slow_num_blocks,
-            "slow_block_mb": self.slow_block_mb,
-            "slow_jobs": self.slow_jobs,
-            "slow_period_s": self.slow_period_s,
-            "crash_num_drivers": self.crash_num_drivers,
-            "crash_driver": self.crash_driver,
-            "crash_at": self.crash_at,
-            "crash_rate_per_s": self.crash_rate_per_s,
-            "crash_horizon_s": self.crash_horizon_s,
-            "crash_tenants": self.crash_tenants,
-        }
 
 
 def _timeline(obs) -> List[Dict]:
@@ -142,12 +124,6 @@ def _first(timeline_records, rule: str, kind: str):
 
 def _fault_free(workload: ObsWorkload):
     """Healthy stream: the rulebook must stay silent."""
-    from repro.api.context import AnalyticsContext
-    from repro.cluster import hdd_cluster
-    from repro.obs import ObservabilityPlane
-    from repro.serve import JobServer
-    from repro.serve.workload import PoissonArrivals, wordcount_template
-
     cluster = hdd_cluster(num_machines=workload.machines,
                           num_disks=workload.disks, seed=workload.seed)
     ctx = AnalyticsContext(cluster, engine="monospark")
@@ -182,14 +158,6 @@ def _fault_free(workload: ObsWorkload):
 
 def _fail_slow(workload: ObsWorkload) -> Dict:
     """Machine 1 fails slow: alerts must name it before exclusion."""
-    from repro.api.context import AnalyticsContext
-    from repro.cluster import hdd_cluster
-    from repro.faults import FaultInjector, fail_slow_plan
-    from repro.health import HealthMonitor, HealthPolicy
-    from repro.obs import ObservabilityPlane
-    from repro.serve import JobServer
-    from repro.serve.workload import TraceArrivals, wordcount_template
-
     cluster = hdd_cluster(num_machines=workload.machines,
                           num_disks=workload.disks, seed=workload.seed)
     ctx = AnalyticsContext(cluster, engine="monospark")
@@ -259,13 +227,6 @@ def _fail_slow(workload: ObsWorkload) -> Dict:
 
 def _driver_crash(workload: ObsWorkload) -> Dict:
     """The control-plane leader dies: driver-down must name it."""
-    from repro.api.context import AnalyticsContext
-    from repro.cluster import hdd_cluster
-    from repro.controlplane import ControlPlane
-    from repro.faults import DriverCrash, FaultInjector, FaultPlan
-    from repro.obs import ObservabilityPlane
-    from repro.serve.workload import PoissonArrivals, wordcount_template
-
     cluster = hdd_cluster(num_machines=workload.machines,
                           num_disks=workload.disks, seed=workload.seed)
     ctx = AnalyticsContext(cluster, engine="monospark")
@@ -309,68 +270,33 @@ def _driver_crash(workload: ObsWorkload) -> Dict:
     }
 
 
-def run_obs_benchmark(workload: Optional[ObsWorkload] = None,
-                      repeats: int = 2) -> Dict:
-    """All invariants, verified byte-stable across repeats.
-
-    Returns ``{"invariants": ..., "overhead": ...}``: the invariants
-    must be identical on every repeat (same seed, same timeline, to the
-    byte); the overhead dict is the *best* (lowest ms-per-simulated-
-    second) measurement across repeats, gated against the workload's
-    budget but never diffed -- wall clock is the machine's, not the
-    seed's.
-    """
-    if workload is None:
-        workload = ObsWorkload()
-    best: Optional[Dict] = None
-    best_overhead: Optional[Dict] = None
-    for _ in range(max(1, repeats)):
-        free, overhead = _fault_free(workload)
-        invariants = {
-            "fault_free": free,
-            "fail_slow": _fail_slow(workload),
-            "driver_crash": _driver_crash(workload),
-        }
-        if best is None:
-            best = invariants
-        elif invariants != best:
-            raise AssertionError(
-                f"non-deterministic benchmark run: {invariants} != {best}")
-        if (best_overhead is None
-                or overhead["ms_per_sim_s"]
-                < best_overhead["ms_per_sim_s"]):
-            best_overhead = overhead
-    budget = workload.overhead_budget_ms_per_sim_s
-    if best_overhead["ms_per_sim_s"] > budget:
-        raise AssertionError(
-            f"observability self-overhead "
-            f"{best_overhead['ms_per_sim_s']:.3f} ms per simulated "
-            f"second exceeds the {budget} ms budget")
-    return {"invariants": best, "overhead": best_overhead}
-
-
-def trajectory_summary(result: Dict,
-                       workload: Optional[ObsWorkload] = None,
-                       repeats: int = 2) -> Dict:
-    """The JSON dict ``BENCH_obs.json`` holds.
-
-    ``invariants`` is byte-stable and exactly diffed by CI;
-    ``observed_overhead`` is informational (machine-dependent) -- the
-    check gates it against ``workload.overhead_budget_ms_per_sim_s``
-    instead of diffing it.
-    """
-    if workload is None:
-        workload = ObsWorkload()
-    overhead = result["overhead"]
-    return {
-        "benchmark": "obs_alerting",
-        "workload": workload.params(),
-        "repeats": repeats,
-        "invariants": result["invariants"],
-        "observed_overhead": {
-            "ms_per_sim_s": round(overhead["ms_per_sim_s"], 4),
-            "ticks": int(overhead["ticks"]),
-            "sim_s": round(overhead["sim_s"], 3),
-            "note": "wall-clock; budget-gated, not diffed",
-        },
+def _run(workload: ObsWorkload) -> Tuple[Dict, Dict]:
+    free, overhead = _fault_free(workload)
+    invariants = {
+        "fault_free": free,
+        "fail_slow": _fail_slow(workload),
+        "driver_crash": _driver_crash(workload),
     }
+    return invariants, {"observed_overhead": {
+        "ms_per_sim_s": round(overhead["ms_per_sim_s"], 4),
+        "ticks": int(overhead["ticks"]),
+        "sim_s": round(overhead["sim_s"], 3),
+        "note": "wall-clock; budget-gated, not diffed",
+    }}
+
+
+def _budget(fresh: Dict) -> Optional[str]:
+    measured = fresh["observed_overhead"]["ms_per_sim_s"]
+    budget = fresh["workload"]["overhead_budget_ms_per_sim_s"]
+    if measured > budget:
+        return (f"observability self-overhead {measured} ms per simulated "
+                f"second exceeds the {budget} ms budget")
+    return None
+
+
+_WORKLOAD = ObsWorkload()
+
+SCENARIO = Scenario(
+    name="obs", benchmark="obs_alerting", workload=asdict(_WORKLOAD),
+    run=lambda: _run(_WORKLOAD), best="observed_overhead.ms_per_sim_s",
+    gates=(_budget,))

@@ -18,11 +18,10 @@ debugger claims (ISSUE 10; the paper's §6.6 contrast, differential):
 * **Regress gate** -- ``DiffReport.regression``: the degraded run
   trips the threshold, the clean-vs-clean self-diff does not.
 
-Every invariant is a deterministic function of the seed: the benchmark
-runs the scenario set ``repeats`` times and raises on any cross-run
-drift, so CI diffs the committed ``BENCH_xray.json`` exactly.
-
-``scripts/bench_trajectory.py --bench xray`` runs exactly this code.
+Every invariant is a deterministic function of the seed, so CI diffs
+the committed ``BENCH_xray.json`` exactly.  :data:`SCENARIO` is this
+benchmark for :mod:`repro.bench`, which repeats it as a determinism
+check; ``scripts/bench_trajectory.py --bench xray`` runs it.
 """
 
 from __future__ import annotations
@@ -31,14 +30,15 @@ import hashlib
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import asdict, dataclass
+from typing import Dict, Tuple
 
+from repro.bench import Scenario
 from repro.xray.capsule import Capsule
 from repro.xray.diff import diff_capsules
 from repro.xray.scenario import CanonicalRun, record_run
 
-__all__ = ["XrayWorkload", "run_xray_benchmark", "trajectory_summary"]
+__all__ = ["XrayWorkload", "SCENARIO"]
 
 
 @dataclass(frozen=True)
@@ -72,20 +72,6 @@ class XrayWorkload:
             degrade_machine=self.slow_machine if degraded else None,
             degrade_at=self.slow_at, degrade_factor=self.slow_factor)
 
-    def params(self) -> Dict:
-        """The workload knobs, for embedding in the JSON summary."""
-        return {
-            "machines": self.machines, "disks": self.disks,
-            "seed": self.seed, "tenant": self.tenant,
-            "slo_s": self.slo_s, "num_blocks": self.num_blocks,
-            "block_mb": self.block_mb, "jobs": self.jobs,
-            "period_s": self.period_s,
-            "slow_machine": self.slow_machine,
-            "slow_at": self.slow_at, "slow_factor": self.slow_factor,
-            "noise_floor_s": self.noise_floor_s,
-            "regress_threshold_s": self.regress_threshold_s,
-        }
-
 
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
@@ -95,9 +81,9 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _capsule_invariants(capsule: Capsule, path: str) -> Dict:
+def _capsule_invariants(capsule: Capsule) -> Dict:
     return {
-        "sha256": _sha256(path),
+        "sha256": _sha256(capsule.path),
         "counts": dict(capsule.manifest.get("counts", {})),
         "completed_jobs": len(capsule.completed_jobs()),
     }
@@ -208,60 +194,33 @@ def _self_diff_gate(clean: Capsule, workload: XrayWorkload) -> Dict:
     }
 
 
-def run_xray_benchmark(workload: Optional[XrayWorkload] = None,
-                       repeats: int = 2) -> Dict:
-    """All invariants, verified byte-stable across repeats."""
-    if workload is None:
-        workload = XrayWorkload()
-    best: Optional[Dict] = None
-    for _ in range(max(1, repeats)):
-        workdir = tempfile.mkdtemp(prefix="repro-xray-bench-")
-        try:
-            clean = _record_deterministic(
-                workdir, "clean", workload.run("monospark"))
-            degraded = _record_deterministic(
-                workdir, "degraded",
-                workload.run("monospark", degraded=True))
-            spark_clean = _record_deterministic(
-                workdir, "spark-clean", workload.run("spark"))
-            spark_degraded = _record_deterministic(
-                workdir, "spark-degraded",
-                workload.run("spark", degraded=True))
-            invariants = {
-                "capsules": {
-                    "clean": _capsule_invariants(
-                        clean, clean.path),
-                    "degraded": _capsule_invariants(
-                        degraded, degraded.path),
-                    "spark_clean": _capsule_invariants(
-                        spark_clean, spark_clean.path),
-                    "spark_degraded": _capsule_invariants(
-                        spark_degraded, spark_degraded.path),
-                },
-                "blame": _blame_gate(clean, degraded, workload),
-                "spark": _spark_gate(spark_clean, spark_degraded,
-                                     workload),
-                "self_diff": _self_diff_gate(clean, workload),
-            }
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
-        if best is None:
-            best = invariants
-        elif invariants != best:
-            raise AssertionError(
-                f"non-deterministic benchmark run: {invariants} != {best}")
-    return {"invariants": best}
+def _invariants(workload: XrayWorkload) -> Tuple[Dict, Dict]:
+    """Record the four capsules; run every gate over them."""
+    workdir = tempfile.mkdtemp(prefix="repro-xray-bench-")
+    try:
+        capsules = {
+            name: _record_deterministic(
+                workdir, name, workload.run(engine, degraded=degraded))
+            for name, engine, degraded in (
+                ("clean", "monospark", False),
+                ("degraded", "monospark", True),
+                ("spark_clean", "spark", False),
+                ("spark_degraded", "spark", True))}
+        clean = capsules["clean"]
+        return {
+            "capsules": {name: _capsule_invariants(capsule)
+                         for name, capsule in capsules.items()},
+            "blame": _blame_gate(clean, capsules["degraded"], workload),
+            "spark": _spark_gate(capsules["spark_clean"],
+                                 capsules["spark_degraded"], workload),
+            "self_diff": _self_diff_gate(clean, workload),
+        }, {}
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
-def trajectory_summary(result: Dict,
-                       workload: Optional[XrayWorkload] = None,
-                       repeats: int = 2) -> Dict:
-    """The JSON dict ``BENCH_xray.json`` holds (exactly diffed in CI)."""
-    if workload is None:
-        workload = XrayWorkload()
-    return {
-        "benchmark": "xray_diff",
-        "workload": workload.params(),
-        "repeats": repeats,
-        "invariants": result["invariants"],
-    }
+_WORKLOAD = XrayWorkload()
+
+SCENARIO = Scenario(
+    name="xray", benchmark="xray_diff", workload=asdict(_WORKLOAD),
+    run=lambda: _invariants(_WORKLOAD))
