@@ -277,18 +277,22 @@ class _JobBuilder:
         but a stage's parents always have *larger* ids because children
         are allocated first; sort by dependency instead)."""
         ordered: List[Stage] = []
-        visited: set = set()
-
-        def visit(stage_id: int) -> None:
-            if stage_id in visited:
-                return
-            visited.add(stage_id)
-            stage = self._stages[stage_id]
-            for parent in stage.parent_stage_ids:
-                visit(parent)
-            ordered.append(stage)
-
-        visit(final_stage_id)
+        visited = {final_stage_id}
+        final = self._stages[final_stage_id]
+        # Depth-first with an explicit stack: deep lineages cannot hit
+        # the interpreter's recursion limit.
+        stack = [(final, iter(final.parent_stage_ids))]
+        while stack:
+            stage, parents = stack[-1]
+            for parent_id in parents:
+                if parent_id not in visited:
+                    visited.add(parent_id)
+                    parent = self._stages[parent_id]
+                    stack.append((parent, iter(parent.parent_stage_ids)))
+                    break
+            else:
+                stack.pop()
+                ordered.append(stage)
         return ordered
 
 

@@ -441,6 +441,10 @@ class TaskPool:
             # Anything else propagates and fails the run loudly.
             self.free_slots[machine.machine_id] += 1
             state.active.pop(attempt.number, None)
+        if error is not None:
+            # Keep the error, not the frames it unwound: this frame is
+            # one of them and holds it, a reference cycle.
+            error.__traceback__ = None
         self._record_attempt(attempt, outcome, error)
         if outcome == "success":
             if not state.finished:

@@ -30,6 +30,15 @@ class StopSimulation(Exception):
         self.value = value
 
 
+class Abandoned(BaseException):
+    """Control-flow signal: the process raising it can never resume.
+
+    The kernel abandons the process instead of failing it (see
+    ``Event.abandon``).  Not an ``Exception``, so ``except Exception``
+    handlers on the way out let it pass.
+    """
+
+
 class Interrupted(SimulationError):
     """Raised inside a process that another process interrupted."""
 

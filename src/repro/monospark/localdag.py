@@ -62,20 +62,29 @@ class LocalDagScheduler:
 
     @staticmethod
     def _check_acyclic(monotasks: List[Monotask]) -> None:
-        """Reject cyclic DAGs up front instead of deadlocking silently."""
+        """Reject cyclic DAGs up front instead of deadlocking silently.
+
+        Depth-first with an explicit stack, so a deep dependency chain
+        cannot hit the interpreter's recursion limit.  Dependencies
+        outside ``monotasks`` count as already checked.
+        """
         WHITE, GREY, BLACK = 0, 1, 2
         color: Dict[int, int] = {id(m): WHITE for m in monotasks}
-
-        def visit(node: Monotask) -> None:
-            color[id(node)] = GREY
-            for dep in node.deps:
-                state = color.get(id(dep), BLACK)
-                if state == GREY:
-                    raise SimulationError("monotask DAG has a cycle")
-                if state == WHITE:
-                    visit(dep)
-            color[id(node)] = BLACK
-
-        for monotask in monotasks:
-            if color[id(monotask)] == WHITE:
-                visit(monotask)
+        for root in monotasks:
+            if color[id(root)] != WHITE:
+                continue
+            color[id(root)] = GREY
+            stack = [(root, iter(root.deps))]
+            while stack:
+                node, deps = stack[-1]
+                for dep in deps:
+                    state = color.get(id(dep), BLACK)
+                    if state == GREY:
+                        raise SimulationError("monotask DAG has a cycle")
+                    if state == WHITE:
+                        color[id(dep)] = GREY
+                        stack.append((dep, iter(dep.deps)))
+                        break
+                else:
+                    color[id(node)] = BLACK
+                    stack.pop()

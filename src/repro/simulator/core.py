@@ -26,7 +26,8 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.errors import EmptySchedule, Interrupted, SimulationError, StopSimulation
+from repro.errors import (Abandoned, EmptySchedule, Interrupted,
+                          SimulationError, StopSimulation)
 
 __all__ = [
     "Environment",
@@ -111,6 +112,23 @@ class Event:
         self._value = exception
         self.env._enqueue(self)
         return self
+
+    def abandon(self) -> None:
+        """Declare that this pending event will never fire.
+
+        A process waiting on it could never resume, so it is abandoned
+        in turn: it lets go of this event and never fires either, and
+        the processes waiting on it are abandoned too.  Nothing is
+        simulated.  Reference counting then frees each process with its
+        generator; left waiting, process and event would form a cycle
+        only the cyclic collector frees.  Other callbacks are dropped.
+        """
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            waiter = getattr(callback, "__self__", None)
+            if isinstance(waiter, Process) and waiter._target is self:
+                waiter._target = None
+                waiter.abandon()
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(self)`` when the event is processed.
@@ -259,14 +277,23 @@ class Process(Event):
                     break
             else:
                 event.defused = True
+                failure = event._value
+                traceback = failure.__traceback__
                 try:
-                    next_target = self._generator.throw(event._value)
+                    next_target = self._generator.throw(failure)
                 except StopIteration as exc:
                     self._finish_ok(exc.value)
                     break
                 except BaseException as exc:
                     self._finish_fail(exc)
                     break
+                finally:
+                    # The throw added this process's frames to the
+                    # failure's traceback.  The failed event holds the
+                    # failure and the frames may hold the event: a
+                    # reference cycle.  A failure that only passes
+                    # through keeps the traceback it came with.
+                    failure.__traceback__ = traceback
 
             if not isinstance(next_target, Event):
                 exc = SimulationError(
@@ -293,13 +320,24 @@ class Process(Event):
 
     def _finish_fail(self, exc: BaseException) -> None:
         self._target = None
+        if isinstance(exc, Abandoned):
+            self.abandon()
+            return
+        # Drop the traceback's head, this kernel frame: it holds the
+        # process, whose value the exception becomes.
+        exc.__traceback__ = exc.__traceback__.tb_next
         self._ok = False
         self._value = exc
         self.env._enqueue(self)
 
 
 class _Condition(Event):
-    """Shared machinery for :class:`AllOf` and :class:`AnyOf`."""
+    """Shared machinery for :class:`AllOf` and :class:`AnyOf`.
+
+    Once the outcome is known the condition lets go of its events: a
+    pending one that never fires would otherwise tie the two into a
+    reference cycle.
+    """
 
     __slots__ = ("events", "_remaining")
 
@@ -337,6 +375,7 @@ class AllOf(_Condition):
         if not event._ok:
             event.defused = True
             self.fail(event._value)
+            self.events = []
             return
         self._remaining -= 1
         if self._remaining == 0:
@@ -359,6 +398,7 @@ class AnyOf(_Condition):
         else:
             event.defused = True
             self.fail(event._value)
+        self.events = []
 
 
 class Environment:

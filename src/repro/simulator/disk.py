@@ -95,7 +95,8 @@ class Disk:
         return self.spec.max_concurrency == 1
 
     def submit(self, nbytes: float, kind: str, label: str = "") -> Event:
-        """Start a request; the returned event fires when it completes."""
+        """Start a request; the returned event fires (with value ``None``)
+        when it completes."""
         request = DiskRequest(self.env, nbytes, kind, label)
         if self.dead:
             request.done.fail(DiskFailure(f"{self.name} is dead"))
@@ -105,7 +106,7 @@ class Disk:
         else:
             self.bytes_written += request.nbytes
         if request.nbytes == 0:
-            request.done.succeed(request)
+            request.done.succeed()
             return request.done
         if self.is_hdd:
             self._queue.append(request)
@@ -240,7 +241,7 @@ class Disk:
                     last = request
                     self.transfer_log.append(
                         (self.env.now, request.nbytes, request.kind))
-                    request.done.succeed(request)
+                    request.done.succeed()
         except Interrupted:
             pass  # Disk failed mid-service; fail_all() settles the queue.
         finally:
@@ -342,4 +343,4 @@ class Disk:
             for request in finished:
                 self.transfer_log.append(
                     (self.env.now, request.nbytes, request.kind))
-                request.done.succeed(request)
+                request.done.succeed()

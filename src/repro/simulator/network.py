@@ -64,12 +64,13 @@ class Flow:
     @property
     def rate(self) -> float:
         """Max-min fair rate in bytes/s, shared by every flow on the same
-        (src, dst) pair (0.0 for a local or empty transfer)."""
+        (src, dst) pair (0.0 for a local, empty or finished transfer)."""
         return 0.0 if self._pair is None else self._pair.rate
 
     @property
     def last_update(self) -> float:
-        """Simulated time ``remaining`` was last brought up to date."""
+        """Simulated time ``remaining`` was last brought up to date (the
+        start time for a local, empty or finished transfer)."""
         return self.started_at if self._pair is None else self._pair.banked_at
 
 
@@ -178,7 +179,8 @@ class Network:
 
     def transfer(self, src: int, dst: int, nbytes: float,
                  label: str = "") -> Event:
-        """Start a flow; the returned event fires when the last byte lands."""
+        """Start a flow; the returned event fires (with value ``None``)
+        when the last byte lands."""
         if src not in self._uplinks or dst not in self._downlinks:
             raise SimulationError(f"unregistered machine in flow {src}->{dst}")
         flow = Flow(self.env, src, dst, nbytes, label)
@@ -214,7 +216,7 @@ class Network:
                 continue  # Failed by a machine crash while in delivery.
             self.completion_log.append(
                 (self.env.now, flow.nbytes, flow.dst, flow.src))
-            flow.done.succeed(flow)
+            flow.done.succeed()
 
     # -- pair bookkeeping ------------------------------------------------------
 
@@ -246,6 +248,7 @@ class Network:
         touched = []
         for flow in flows:
             pair = flow._pair
+            flow._pair = None
             pair.flows.remove(flow)
             pair.up.flows -= 1
             pair.down.flows -= 1

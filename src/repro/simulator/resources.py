@@ -14,7 +14,7 @@ from bisect import bisect_right
 from collections import deque
 from typing import Any, Deque, List, Optional, Sequence, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import Abandoned, SimulationError
 from repro.simulator.core import Environment, Event
 
 __all__ = ["Store", "Semaphore", "BusyTracker"]
@@ -25,7 +25,9 @@ class Store:
 
     ``capacity`` bounds the number of buffered items; ``put`` returns an
     event that does not fire until there is room.  An unbounded store
-    (the default) completes puts immediately.
+    (the default) completes puts immediately.  A consumer that stops
+    for good closes the store, so producers that would wait for room
+    forever are abandoned instead.
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
@@ -36,19 +38,37 @@ class Store:
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self._putters: Deque[Tuple[Event, Any]] = deque()
+        self.closed = False
 
     def __len__(self) -> int:
         return len(self.items)
 
     def put(self, item: Any) -> Event:
-        """Buffer ``item``; the event fires once there is room."""
+        """Buffer ``item``; the event fires once there is room.
+
+        On a closed store without room the caller could never resume:
+        raises :class:`~repro.errors.Abandoned`.
+        """
         event = self.env.event()
         if len(self.items) < self.capacity:
             self._deliver(item)
             event.succeed()
+        elif self.closed:
+            raise Abandoned("put on a full, closed store")
         else:
             self._putters.append((event, item))
         return event
+
+    def close(self) -> None:
+        """The consumer is gone for good: nothing will ever be taken.
+
+        Producers waiting for room are abandoned (see
+        :meth:`~repro.simulator.core.Event.abandon`); later puts still
+        fill the free room, and a put that would wait raises instead.
+        """
+        self.closed = True
+        while self._putters:
+            self._putters.popleft()[0].abandon()
 
     def get(self) -> Event:
         """The event fires with the next item, FIFO."""

@@ -98,17 +98,22 @@ class SparkTaskRun:
 
         out_disk = self.machine.pick_write_disk()
         write_per_unit = self._writes_per_unit()
-        for _ in range(len(units)):
-            unit = yield ready.get()
-            if isinstance(unit, _FetchFailure):
-                raise unit.error
-            fraction = (unit.stored_bytes / total_stored if total_stored
-                        else 1.0 / len(units))
-            yield from self._compute(work.total_cpu_s * fraction)
-            if write_per_unit:
-                yield from self._write_output_piece(
-                    work.output_stored_bytes * fraction, out_disk,
-                    f"{work.descriptor.task_id}:out:{unit.index}")
+        try:
+            for _ in range(len(units)):
+                unit = yield ready.get()
+                if isinstance(unit, _FetchFailure):
+                    raise unit.error
+                fraction = (unit.stored_bytes / total_stored if total_stored
+                            else 1.0 / len(units))
+                yield from self._compute(work.total_cpu_s * fraction)
+                if write_per_unit:
+                    yield from self._write_output_piece(
+                        work.output_stored_bytes * fraction, out_disk,
+                        f"{work.descriptor.task_id}:out:{unit.index}")
+        finally:
+            # A failed or killed attempt reads no more units; feeders
+            # that would wait for room forever are abandoned.
+            ready.close()
 
         yield from self._write_shuffle_buckets(out_disk)
         yield from self._write_dfs_block()

@@ -1,7 +1,7 @@
 """The paper's workloads: sort, word count, Big Data Benchmark, ML."""
 
 from repro.workloads.bigdata import (BdbScale, QUERIES, generate_bdb_tables,
-                                     run_query)
+                                     generate_rankings, run_query)
 from repro.workloads.ml import (MlWorkload, make_ml_context,
                                 run_ml_iteration, run_ml_workload)
 from repro.workloads.sortgen import (SortWorkload, generate_sort_input,
@@ -12,6 +12,7 @@ __all__ = [
     "BdbScale",
     "QUERIES",
     "generate_bdb_tables",
+    "generate_rankings",
     "run_query",
     "MlWorkload",
     "make_ml_context",

@@ -38,8 +38,8 @@ from repro.datamodel.serialization import COMPRESSED, DataFormat
 from repro.engine.base import JobResult
 from repro.errors import ConfigError
 
-__all__ = ["BdbScale", "QUERIES", "generate_bdb_tables", "run_query",
-           "query_names"]
+__all__ = ["BdbScale", "QUERIES", "generate_bdb_tables", "generate_rankings",
+           "run_query", "query_names"]
 
 #: All query variants, in the paper's Figure 5 order.
 QUERIES = ("1a", "1b", "1c", "2a", "2b", "2c", "3a", "3b", "3c", "4")
@@ -120,6 +120,18 @@ def generate_bdb_tables(cluster: Cluster, scale: Optional[BdbScale] = None,
     _make_rankings(cluster, scale, rng)
     _make_uservisits(cluster, scale, rng)
     _make_documents(cluster, scale, rng)
+    return scale
+
+
+def generate_rankings(cluster: Cluster, scale: Optional[BdbScale] = None,
+                      seed: int = 0) -> BdbScale:
+    """Create only the rankings table, all that query 1 reads.
+
+    :func:`generate_bdb_tables` draws rankings first from the same
+    seeded generator, so the table is identical to the one it builds.
+    """
+    scale = scale or BdbScale()
+    _make_rankings(cluster, scale, random.Random(seed))
     return scale
 
 

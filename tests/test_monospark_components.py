@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api.dagscheduler import DagScheduler, _JobBuilder
+from repro.api.plan import Stage
 from repro.cluster import hdd_cluster, ssd_cluster
 from repro.config import HDD, SSD, MB
 from repro.errors import SimulationError
@@ -12,6 +14,14 @@ from repro.monospark.monotask import ComputeMonotask, DiskMonotask
 from repro.monospark.assignment import multitask_concurrency
 from repro.monospark.schedulers import ResourceScheduler
 from repro.simulator import Environment
+
+
+def _chain(env, depth):
+    """Fake monotasks where each depends on the one before it."""
+    chain = [FakeMonotask(env, f"m{i}", 1.0, []) for i in range(depth)]
+    for dep, monotask in zip(chain, chain[1:]):
+        monotask.deps.append(dep)
+    return chain
 
 
 class FakeMonotask:
@@ -182,6 +192,42 @@ class TestLocalDagScheduler:
         scheduler = LocalDagScheduler(env, route=lambda m: None)
         with pytest.raises(SimulationError, match="cycle"):
             scheduler.submit_multitask([a, b])
+
+    def test_deep_chain_accepted(self):
+        """A 5,000-deep chain is walked without hitting the interpreter's
+        recursion limit."""
+        env = Environment()
+        chain = _chain(env, 5000)
+        scheduler = LocalDagScheduler(env, route=lambda m: None)
+        scheduler.submit_multitask(chain[::-1])
+        assert scheduler.monotasks_submitted == 5000
+
+    def test_cycle_at_end_of_deep_chain_detected(self):
+        env = Environment()
+        chain = _chain(env, 5000)
+        tail = FakeMonotask(env, "tail", 1.0, [])
+        tail.deps.append(chain[0])
+        chain[0].deps.append(tail)
+        scheduler = LocalDagScheduler(env, route=lambda m: None)
+        with pytest.raises(SimulationError, match="cycle"):
+            scheduler.submit_multitask(chain[::-1] + [tail])
+
+    def test_stages_in_order_walks_deep_lineage(self):
+        """Parents first, each stage once, on a 5,000-stage chain and on
+        a diamond."""
+        builder = _JobBuilder(DagScheduler(), job_id=0)
+        depth = 5000
+        builder._stages = {
+            i: Stage(0, i, [], [i + 1] if i + 1 < depth else [])
+            for i in range(depth)}
+        order = [stage.stage_id for stage in builder.stages_in_order(0)]
+        assert order == list(range(depth - 1, -1, -1))
+        builder._stages = {0: Stage(0, 0, [], [1, 2]),
+                           1: Stage(0, 1, [], [3]),
+                           2: Stage(0, 2, [], [3]),
+                           3: Stage(0, 3, [], [])}
+        order = [stage.stage_id for stage in builder.stages_in_order(0)]
+        assert order == [3, 1, 2, 0]
 
     def test_empty_multitask_rejected(self):
         scheduler = LocalDagScheduler(Environment(), route=lambda m: None)

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import traceback
+
 import pytest
 
 from repro.errors import EmptySchedule, Interrupted, SimulationError
@@ -101,6 +103,42 @@ def test_unhandled_process_failure_propagates_to_run():
     env.process(proc())
     with pytest.raises(RuntimeError, match="task exploded"):
         env.run()
+
+
+def test_failure_passing_through_keeps_its_traceback():
+    """A failure thrown into a waiting process does not pick up that
+    process's frames (they may hold the failed event: a reference
+    cycle), and the frame that raised it stays in the traceback."""
+    env = Environment()
+
+    def inner():
+        yield env.timeout(1.0)
+        raise RuntimeError("task exploded")
+
+    def outer(child):
+        yield child
+
+    env.process(outer(env.process(inner())))
+    with pytest.raises(RuntimeError) as raised:
+        env.run()
+    frames = [frame.f_code.co_name for frame, _ in
+              traceback.walk_tb(raised.value.__traceback__)]
+    assert "inner" in frames
+    assert "outer" not in frames and "_resume" not in frames
+
+
+def test_all_of_lets_go_of_pending_events_once_failed():
+    """A failed-fast AllOf lets go of its events, so one that never
+    fires forms no cycle with it; a late failure is still defused."""
+    env = Environment()
+    failing, never, late = env.event(), env.event(), env.event()
+    condition = env.all_of([failing, never, late])
+    condition.add_callback(lambda event: setattr(event, "defused", True))
+    failing.fail(ValueError("boom"))
+    env.timeout(1.0).add_callback(lambda _: late.fail(KeyError("late")))
+    env.run()
+    assert not condition.ok and env.now == 1.0
+    assert never not in condition.events
 
 
 def test_run_until_event_propagates_failure():

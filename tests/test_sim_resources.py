@@ -75,6 +75,47 @@ class TestStore:
         assert ("put-a", 0.0) in log
         assert ("put-b", 5.0) in log  # blocked until the consumer drained one
 
+    def test_close_abandons_producers_that_would_wait_forever(self):
+        """Once the consumer is gone, a producer blocked on a put, one
+        that blocks later and a process waiting on a blocked one are
+        abandoned: nothing more is simulated and none of them fires."""
+        env = Environment()
+        store = Store(env, capacity=1)
+        log = []
+
+        def producer(name, delay):
+            yield env.timeout(delay)
+            yield store.put(name)
+            log.append(name)
+
+        def waiter(process):
+            yield process
+            log.append("waiter")
+
+        early = env.process(producer("early", 1.0))
+        waiting = env.process(waiter(early))
+        env.timeout(2.0).add_callback(lambda _: store.close())
+        late = env.process(producer("late", 3.0))
+        store.put("first")
+        env.run()
+        assert log == [] and env.now == 3.0
+        assert list(store.items) == ["first"]
+        for process in (early, waiting, late):
+            assert not process.triggered and process.target is None
+            assert process.callbacks == []
+
+    def test_closed_store_takes_items_while_it_has_room(self):
+        env = Environment()
+        store = Store(env, capacity=2)
+        store.close()
+
+        def producer():
+            yield store.put("a")
+            return "done"
+
+        assert env.run(until=env.process(producer())) == "done"
+        assert list(store.items) == ["a"]
+
     def test_invalid_capacity(self):
         env = Environment()
         with pytest.raises(SimulationError):

@@ -6,6 +6,7 @@ from repro.api import AnalyticsContext
 from repro.cluster import hdd_cluster, ssd_cluster
 from repro.config import GB, MB
 from repro.errors import ConfigError
+from repro.serve import bdb_template
 from repro.workloads.bigdata import (BdbScale, QUERIES, generate_bdb_tables,
                                      run_query)
 from repro.workloads.ml import MlWorkload, make_ml_context, run_ml_iteration
@@ -98,6 +99,25 @@ class TestBigDataBenchmark:
         assert uservisits.nbytes == pytest.approx(
             self.scale.uservisits_bytes * 0.01 * 0.5, rel=0.01)
         assert dfs.exists("rankings") and dfs.exists("documents")
+
+    def test_bdb_template_builds_only_rankings(self):
+        """The serving template builds the one table its scan reads, and
+        builds it exactly as the full generator does at the same seed."""
+        full = hdd_cluster(num_machines=5)
+        generate_bdb_tables(full, self.scale, seed=11)
+        ctx = AnalyticsContext(hdd_cluster(num_machines=5))
+        bdb_template(ctx, query="1b", fraction=self.scale.fraction, seed=11)
+        dfs = ctx.cluster.dfs
+        assert not dfs.exists("uservisits") and not dfs.exists("documents")
+        expected = full.dfs.get_file("rankings").blocks
+        blocks = dfs.get_file("rankings").blocks
+        assert len(blocks) == len(expected)
+        for block, want in zip(blocks, expected):
+            assert block.nbytes == want.nbytes
+            assert block.replicas == want.replicas
+            assert block.payload.records == want.payload.records
+            assert block.payload.record_count == want.payload.record_count
+            assert block.payload.data_bytes == want.payload.data_bytes
 
     def test_query1_result_size_tracks_selectivity(self):
         ctx = self.make_ctx()
