@@ -326,6 +326,9 @@ class ControlPlane:
             dispatched=request.dispatched, completed=self.env.now,
             outcome=outcome, estimate_s=request.estimate_s,
             slo_s=request.slo_s, detail=detail))
+        # Every consumer has folded the job by now (the serve record
+        # fed drift, exemplars and the capsule's serve line).
+        self.metrics.release_job(request.plan.job_id)
         request.done.succeed(result)
         self._outstanding -= 1
         self.checkpoint_tenant(driver, request.tenant)

@@ -47,6 +47,11 @@ class Interrupted(SimulationError):
         self.cause = cause
 
 
+class TraceReleasedError(SimulationError):
+    """A finished job's spans were released from memory once a span
+    sink held them; its trace must be read from the sink's output."""
+
+
 class ConfigError(ReproError):
     """Invalid hardware spec, cost model, or engine configuration."""
 

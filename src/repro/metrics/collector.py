@@ -6,16 +6,21 @@ of every job (:mod:`repro.trace.spans`): it mints span ids, opens and
 closes job/stage/attempt spans, synthesizes monotask leaf spans from
 :class:`MonotaskRecord` self-reports, and records causal links (DAG
 edges, shuffle fetches, queue waits, retries, speculation).  Attached
-sinks (:class:`~repro.trace.sink.JsonlSpanSink`) stream spans out as
-they close, so long serving runs need not hold their trace in memory.
+sinks (:class:`~repro.trace.sink.JsonlSpanSink`, the xray capsule
+recorder) stream spans out as they close.  With a sink attached, the
+serving front-ends call :meth:`MetricsCollector.release_job` once every
+consumer has folded a finished job, so a long serving run holds only
+its in-flight jobs' spans and links; finished traces are read back from
+the sink's output.  Monotask, transfer, task and attempt records are
+kept for the whole run.
 """
 
 from __future__ import annotations
 
 from itertools import count
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TraceReleasedError
 from repro.metrics.events import (CPU, DISK, NETWORK, AlertEventRecord,
                                   DriverEventRecord, FaultEventRecord,
                                   HealthEventRecord,
@@ -74,6 +79,14 @@ class MetricsCollector:
         #: retry/speculation links between consecutive attempts.
         self._last_attempt_spans: Dict[Tuple[int, int, int], SpanRecord] = {}
         self._sinks: List = []
+        #: Trace ids handed off to the sinks by :meth:`release_job`:
+        #: their spans and links are no longer indexed, and late records
+        #: on them go to the sinks only.
+        self._released: Set[str] = set()
+        #: Entries of released traces still in ``spans``/``links``; each
+        #: list is compacted once these outnumber its live entries.
+        self._released_spans = 0
+        self._released_links = 0
         #: Critical-path reports per job trace id, then per engine
         #: label, so the clarity aggregator, alert exemplar resolution,
         #: and xray share one O(n log n) sweep per finished job instead
@@ -108,22 +121,25 @@ class MetricsCollector:
 
     def record_span(self, span: SpanRecord) -> None:
         """Append a complete (already closed) span."""
-        self.spans.append(span)
-        self._spans_by_trace.setdefault(span.trace_id, []).append(span)
-        self._critpath_cache.pop(span.trace_id, None)
+        if span.trace_id not in self._released:
+            self.spans.append(span)
+            self._spans_by_trace.setdefault(span.trace_id, []).append(span)
+            self._critpath_cache.pop(span.trace_id, None)
         for sink in self._sinks:
             sink.span_finished(span)
 
     def record_link(self, link: SpanLink) -> None:
         """Append one causal link."""
-        self.links.append(link)
-        self._links_by_trace.setdefault(link.trace_id, []).append(link)
+        if link.trace_id not in self._released:
+            self.links.append(link)
+            self._links_by_trace.setdefault(link.trace_id, []).append(link)
         for sink in self._sinks:
             sink.link_recorded(link)
 
     def _open_span(self, span: SpanRecord) -> SpanRecord:
-        self.spans.append(span)
-        self._spans_by_trace.setdefault(span.trace_id, []).append(span)
+        if span.trace_id not in self._released:
+            self.spans.append(span)
+            self._spans_by_trace.setdefault(span.trace_id, []).append(span)
         self._open_spans[span.span_id] = span
         return span
 
@@ -142,11 +158,65 @@ class MetricsCollector:
 
     def spans_for_job(self, job_id: int) -> List[SpanRecord]:
         """All spans of one job's trace, in open order."""
-        return list(self._spans_by_trace.get(self.job_trace_id(job_id), ()))
+        trace_id = self._held_trace_id(job_id)
+        return list(self._spans_by_trace.get(trace_id, ()))
 
     def links_for_job(self, job_id: int) -> List[SpanLink]:
         """All causal links of one job's trace."""
-        return list(self._links_by_trace.get(self.job_trace_id(job_id), ()))
+        trace_id = self._held_trace_id(job_id)
+        return list(self._links_by_trace.get(trace_id, ()))
+
+    def _held_trace_id(self, job_id: int) -> str:
+        """The job's trace id; raises if :meth:`release_job` dropped it
+        (an empty answer would read as "the job had no spans")."""
+        trace_id = self.job_trace_id(job_id)
+        if trace_id in self._released:
+            raise TraceReleasedError(
+                f"job {job_id}'s trace was released from memory after "
+                f"streaming to a span sink; read it from the sink's "
+                f"output (for a capsule, Capsule.spans_for_job({job_id}))")
+        return trace_id
+
+    def release_job(self, job_id: int) -> None:
+        """Drop a finished job's spans and links from memory.
+
+        Only with a span sink attached, which already holds the trace
+        durably; without one this is a no-op.  Callers release a job
+        once every in-memory consumer (clarity, the cost estimator,
+        drift, exemplars) has folded it.  Afterwards the job's span and
+        link reads raise :class:`~repro.errors.TraceReleasedError`, and
+        a late span or link on its trace still reaches every sink but is
+        not indexed again.  Monotask, task and attempt records stay.
+
+        The flat ``spans``/``links`` lists are compacted in place once
+        released entries outnumber live ones, so releasing costs
+        amortized O(1) per span.
+        """
+        if not self._sinks:
+            return
+        trace_id = self.job_trace_id(job_id)
+        self._released.add(trace_id)
+        spans = self._spans_by_trace.pop(trace_id, [])
+        links = self._links_by_trace.pop(trace_id, [])
+        self._critpath_cache.pop(trace_id, None)
+        self._job_spans.pop(job_id, None)
+        for span in spans:
+            if span.kind == SPAN_STAGE:
+                self._stage_spans.pop((job_id, span.attrs["stage_id"]), None)
+            elif span.kind == SPAN_ATTEMPT:
+                self._last_attempt_spans.pop(
+                    (job_id, span.attrs["stage_id"],
+                     span.attrs["task_index"]), None)
+        self._released_spans += len(spans)
+        if 2 * self._released_spans > len(self.spans):
+            self.spans[:] = [s for s in self.spans
+                             if s.trace_id not in self._released]
+            self._released_spans = 0
+        self._released_links += len(links)
+        if 2 * self._released_links > len(self.links):
+            self.links[:] = [link for link in self.links
+                             if link.trace_id not in self._released]
+            self._released_links = 0
 
     # -- recording ----------------------------------------------------------------
 
@@ -384,15 +454,17 @@ class MetricsCollector:
         O(n log n) in the job's span count; every consumer of a
         finished job's attribution (clarity windows, alert exemplars,
         xray diffs) wants the same report, so compute it once and
-        invalidate if a late span ever lands on the trace.
+        invalidate if a late span ever lands on the trace.  The cache
+        entry is made only once the sweep succeeds, so an unknown,
+        unfinished or released job leaves nothing behind.
         """
-        reports = self._critpath_cache.setdefault(
-            self.job_trace_id(job_id), {})
-        report = reports.get(engine)
+        trace_id = self._held_trace_id(job_id)
+        reports = self._critpath_cache.get(trace_id)
+        report = reports.get(engine) if reports is not None else None
         if report is None:
             from repro.trace.critpath import critical_path
             report = critical_path(self, job_id, engine=engine)
-            reports[engine] = report
+            self._critpath_cache.setdefault(trace_id, {})[engine] = report
         return report
 
     def job(self, job_id: int) -> JobRecord:

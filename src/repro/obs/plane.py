@@ -300,11 +300,11 @@ class ObservabilityPlane:
         self._record_exemplars(record, now)
 
     def _record_exemplars(self, record: ServeRecord, now: float) -> None:
-        try:
-            report = self.metrics.critical_path_report(
-                record.job_id, engine=self.engine.name)
-        except Exception:
-            return  # unfinished/odd job: no exemplar, never an outage
+        job = self.metrics.jobs.get(record.job_id)
+        if job is None or not (job.end == job.end):  # NaN: unfinished
+            return  # no critical path to take an exemplar from
+        report = self.metrics.critical_path_report(
+            record.job_id, engine=self.engine.name)
         segments = [s for s in report.segments if s.span_id >= 0]
         if not segments:
             return

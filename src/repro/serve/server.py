@@ -345,5 +345,8 @@ class JobServer:
             dispatched=request.dispatched, completed=self.env.now,
             outcome=outcome, estimate_s=request.estimate_s,
             slo_s=request.slo_s, detail=detail))
+        # Every consumer has folded the job by now (the serve record
+        # fed drift, exemplars and the capsule's serve line).
+        self.metrics.release_job(request.plan.job_id)
         request.done.succeed(result)
         self._kick()

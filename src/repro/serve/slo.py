@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.events import HealthEventRecord, ServeRecord
+from repro.metrics.events import (CPU, DISK, NETWORK, HealthEventRecord,
+                                  ServeRecord)
 from repro.metrics.report import format_table
 from repro.metrics.utilization import percentile
 
@@ -161,16 +162,28 @@ class ServeReport:
         report = cls(engine_name=engine_name, duration_s=duration_s,
                      records=list(metrics.serves),
                      health_events=list(metrics.health_events))
-        attributable = False
+        by_tenant: Dict[str, List[ServeRecord]] = {t: [] for t in tenants}
+        for record in report.records:
+            if record.tenant in by_tenant:
+                by_tenant[record.tenant].append(record)
+        # One pass over the monotasks for every tenant: each tenant's
+        # totals still add its records in global record order, so they
+        # equal ``metrics.queue_seconds_by_resource(job_ids)`` exactly.
+        totals_of_job: Dict[int, Dict[str, float]] = {}
         for tenant in tenants:
-            records = metrics.serve_records(tenant=tenant)
-            report.stats.append(_tenant_stats(tenant, records))
-            job_ids = [r.job_id for r in records if r.job_id >= 0]
-            by_resource = metrics.queue_seconds_by_resource(job_ids)
-            report.queue_attribution[tenant] = by_resource
-            if any(v > 0 for v in by_resource.values()):
-                attributable = True
-        if not attributable:
+            report.stats.append(_tenant_stats(tenant, by_tenant[tenant]))
+            totals = {CPU: 0.0, DISK: 0.0, NETWORK: 0.0}
+            report.queue_attribution[tenant] = totals
+            for record in by_tenant[tenant]:
+                if record.job_id >= 0:
+                    totals_of_job[record.job_id] = totals
+        for monotask in metrics.monotasks:
+            totals = totals_of_job.get(monotask.job_id)
+            if totals is not None:
+                totals[monotask.resource] = (
+                    totals.get(monotask.resource, 0.0) + monotask.queue_s)
+        if not any(v > 0 for totals in report.queue_attribution.values()
+                   for v in totals.values()):
             report.queue_attribution = {}
         return report
 

@@ -310,6 +310,18 @@ class TestReport:
         assert "Failover timeline" in text
         assert "Driver event timeline" in text
 
+    def test_queue_attribution_equals_per_tenant_scan(self):
+        # The report folds every tenant in one pass over the monotasks;
+        # each total must equal that tenant's own scan bit for bit.
+        ctx, plane = make_plane(num_drivers=2, tenants=4, horizon=15.0)
+        serve = plane.run().serve
+        assert len(serve.queue_attribution) == 4
+        for tenant, totals in serve.queue_attribution.items():
+            job_ids = [r.job_id for r in ctx.metrics.serve_records(tenant)
+                       if r.job_id >= 0]
+            assert job_ids
+            assert totals == ctx.metrics.queue_seconds_by_resource(job_ids)
+
     def test_plane_runs_once(self):
         ctx, plane = make_plane(num_drivers=1, tenants=1, horizon=5.0,
                                 rate=0.2)
