@@ -8,8 +8,13 @@ tenants across replicas, heartbeat membership and bully leader
 election keep the replica set coherent, and per-tenant checkpoints on
 a dedicated metadata data-service tier let a surviving replica adopt a
 dead driver's shard -- resuming its in-flight jobs through the
-engine's attempt-tracked task pool instead of failing them.  See
-``docs/controlplane.md``.
+engine's attempt-tracked task pool instead of failing them.
+
+The plane is the sharded extension of the one serving front-end
+(:mod:`repro.serve.frontend`): submission, dispatch, completion and the
+observer life-cycle are shared with the ``JobServer``; this package adds
+only ring routing, fencing, control-service time, membership,
+checkpoints and failover.  See ``docs/controlplane.md``.
 """
 
 from repro.controlplane.checkpoint import (CheckpointStore, decode_state,

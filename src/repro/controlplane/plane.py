@@ -38,13 +38,17 @@ Robustness is layered on three mechanisms:
 Exactly-once accounting holds through partitions because a request's
 completion is fenced by its ``recorded`` flag (first writer wins) and
 stale owners fence their queues against the plane's assignment table.
+
+Submission, the dispatch loop, completion watching, ``finalize`` and
+the observer life-cycle are the shared serving front-end
+(:mod:`repro.serve.frontend`); this module adds only what sharding
+needs on top of it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
-from repro.api.plan import JobPlan
 from repro.controlplane.checkpoint import CheckpointStore
 from repro.controlplane.policy import ControlPlanePolicy
 from repro.controlplane.replica import DriverReplica
@@ -52,21 +56,26 @@ from repro.controlplane.report import ControlPlaneReport, FailoverSummary
 from repro.controlplane.ring import HashRing
 from repro.datasvc.service import DataService
 from repro.errors import ConfigError, ReproError, SimulationError
-from repro.metrics.events import DriverEventRecord, ServeRecord
-from repro.serve.admission import AdmissionController, CostEstimator
-from repro.serve.server import JobRequest, Tenant
-from repro.serve.slo import ServeReport
-from repro.serve.workload import JobTemplate
-from repro.simulator import Event
+from repro.metrics.events import DriverEventRecord
+from repro.serve.admission import AdmissionController
+from repro.serve.frontend import Driver, FrontEnd, JobRequest
 from repro.simulator.network import Network
-from repro.simulator.rng import RngStreams
 from repro.trace.spans import (LINK_FAILOVER_RESUME, SPAN_FAILOVER,
                                SpanLink, SpanRecord)
 
 __all__ = ["ControlPlane"]
 
+#: Failover counters, exported as ``repro_cp_<key>`` and in the report.
+_COUNTERS = (
+    ("elections", "Leader elections after the initial choice"),
+    ("tenants_reassigned", "Tenant shards moved by failover"),
+    ("jobs_resumed", "In-flight jobs adopted without re-execution"),
+    ("jobs_replayed", "Queued requests re-dispatched after failover"),
+    ("jobs_lost", "Requests lost to unrecovered driver failures"),
+)
 
-class ControlPlane:
+
+class ControlPlane(FrontEnd):
     """N driver replicas sharding tenants over one engine.
 
     Usage::
@@ -81,9 +90,13 @@ class ControlPlane:
 
     ``config`` is a :class:`ControlPlanePolicy`; ``scheduling`` names
     the per-replica job scheduler ("weighted_fair", "fifo",
-    "deadline").  ``health``, ``telemetry``, and ``clarity`` mirror
-    :class:`~repro.serve.server.JobServer`'s hooks.
+    "deadline").  ``health``, ``telemetry``, ``clarity`` and ``obs``
+    are the shared front-end's optional observers; ``obs`` is attached
+    at :meth:`run`, after ``engine.controlplane`` is set, so its
+    per-driver liveness gauges and driver-down rule exist.
     """
+
+    _stream = "controlplane"
 
     def __init__(self, ctx, num_drivers: int = 2,
                  config: Optional[ControlPlanePolicy] = None,
@@ -93,23 +106,10 @@ class ControlPlane:
                  obs=None) -> None:
         if num_drivers < 1:
             raise ConfigError(f"num_drivers must be >= 1: {num_drivers}")
-        self.ctx = ctx
-        self.engine = ctx.engine
-        self.env = ctx.engine.env
-        self.metrics = ctx.metrics
+        super().__init__(ctx, admission=admission, seed=seed, health=health,
+                         telemetry=telemetry, clarity=clarity, obs=obs)
         self.policy = config if config is not None else ControlPlanePolicy()
-        self.admission = admission
-        self.rng = RngStreams(seed)
         self.num_drivers = num_drivers
-        self.health = health
-        self.telemetry = telemetry
-        self.clarity = clarity
-        #: Optional :class:`repro.obs.ObservabilityPlane` (attached at
-        #: :meth:`run`, after ``engine.controlplane`` is set, so its
-        #: per-driver liveness gauges and driver-down rule exist).
-        self.obs = obs
-        self.estimator = CostEstimator(ctx.engine)
-        self.tenants: Dict[str, Tenant] = {}
         self.drivers: List[DriverReplica] = [
             DriverReplica(self, i, scheduling) for i in range(num_drivers)]
         self.ring = HashRing(vnodes=self.policy.vnodes)
@@ -139,10 +139,7 @@ class ControlPlane:
                 self.cp_network.register_machine(base + i, up_bps=bps,
                                                  down_bps=bps)
                 self._driver_fabric[i] = base + i
-        # Serving state.
-        self._workloads: List[tuple] = []
-        self._open_sources = 0
-        self._seq = 0
+        # Sharding state.
         #: seq -> request: the canonical handle an adopter resumes.
         self._requests: Dict[int, JobRequest] = {}
         #: engine job id -> driver process (survives driver crashes).
@@ -150,11 +147,7 @@ class ControlPlane:
         #: tenant -> requests buffered while the shard owner is
         #: unreachable (clients retrying until failover or heal).
         self._orphans: Dict[str, List[JobRequest]] = {}
-        #: Admitted requests not yet completed/failed/lost.
-        self._outstanding = 0
         self._handled: set = set()
-        self._all_done: Optional[Event] = None
-        self._ran = False
         # Counters (telemetry / report face).
         self.elections = 0
         self.tenants_reassigned = 0
@@ -167,28 +160,19 @@ class ControlPlane:
         # injection and telemetry chaining find the plane here.
         self.engine.controlplane = self
 
-    # -- configuration -------------------------------------------------------------
+    # -- routing -------------------------------------------------------------------
 
-    def add_tenant(self, name: str, weight: float = 1.0,
-                   slo_s: Optional[float] = None) -> Tenant:
-        """Register a tenant and place it on the ring."""
-        if name in self.tenants:
-            raise SimulationError(f"tenant {name!r} is already registered")
-        tenant = Tenant(name, weight=weight, slo_s=slo_s)
-        self.tenants[name] = tenant
-        owner = self.ring.assign(name)
-        self.assignment[name] = owner
-        self.epochs[name] = 0
-        self.drivers[owner].ensure_tenant(name)
-        return tenant
+    def _owner(self, tenant: str) -> Driver:
+        if tenant not in self.assignment:
+            # A new tenant: place it on the ring.
+            self.assignment[tenant] = self.ring.assign(tenant)
+            self.epochs[tenant] = 0
+        return self._driver(self.assignment[tenant])
 
-    def add_workload(self, tenant: str, template: JobTemplate,
-                     arrivals) -> None:
-        """Attach an open-loop source (own rng stream per source)."""
-        if tenant not in self.tenants:
-            self.add_tenant(tenant)
-        index = len(self._workloads)
-        self._workloads.append((tenant, template, arrivals, index))
+    def _shard(self, driver_id: int) -> List[str]:
+        """The tenants ``driver_id`` owns, in canonical order."""
+        return sorted(t for t, owner in self.assignment.items()
+                      if owner == driver_id)
 
     # -- lookups -------------------------------------------------------------------
 
@@ -232,40 +216,9 @@ class ControlPlane:
 
     # -- submission ----------------------------------------------------------------
 
-    def submit(self, job: Union[JobTemplate, JobPlan],
-               tenant: str = "default") -> JobRequest:
-        """Submit one request, routed to the tenant's shard owner."""
-        if tenant not in self.tenants:
-            self.add_tenant(tenant)
-        template, plan = (job, None) if isinstance(job, JobTemplate) \
-            else (None, job)
-        if plan is not None and not isinstance(plan, JobPlan):
-            raise ConfigError(f"submit() takes a JobTemplate or JobPlan: "
-                              f"{job!r}")
-        name = template.name if template is not None else plan.name
-        request = JobRequest(
-            seq=self._seq, tenant=tenant, template_name=name,
-            arrival=self.env.now, done=self.env.event(), template=template,
-            plan=plan, slo_s=self.tenants[tenant].slo_s,
-            estimate_s=self.estimator.estimate(name))
-        request.recorded = False
-        self._seq += 1
+    def _place(self, owner: DriverReplica, request: JobRequest) -> None:
+        """Route an admitted request to its shard owner."""
         self._requests[request.seq] = request
-        owner = self._driver(self.assignment[tenant])
-        if self.admission is not None:
-            admit, reason = self.admission.decide(
-                request.estimate_s,
-                [r.estimate_s for r in owner._queue])
-            if not admit:
-                request.shed = True
-                request.recorded = True
-                self.metrics.record_serve(ServeRecord(
-                    tenant=tenant, template=name, arrival=request.arrival,
-                    outcome="shed", estimate_s=request.estimate_s,
-                    slo_s=request.slo_s, detail=reason))
-                request.done.succeed(None)
-                return request
-        self._outstanding += 1
         if owner.down or owner.partitioned:
             if owner.down and not self.policy.failover:
                 self._lose(request, f"driver {owner.driver_id} down with "
@@ -273,93 +226,28 @@ class ControlPlane:
             else:
                 # The client keeps retrying until failover (or a heal)
                 # installs a reachable owner.
-                self._orphans.setdefault(tenant, []).append(request)
+                self._orphans.setdefault(request.tenant, []).append(request)
                 self.orphaned += 1
         else:
             owner.enqueue(request)
-            self.checkpoint_tenant(owner, tenant)
-        return request
-
-    def _source(self, tenant: str, template: JobTemplate, arrivals,
-                index: int):
-        stream = self.rng.stream(
-            f"controlplane/{index}/{tenant}/{template.name}")
-        for at in arrivals.times(stream):
-            if at > self.env.now:
-                yield self.env.timeout(at - self.env.now)
-            self.submit(template, tenant=tenant)
-        self._open_sources -= 1
-        self._maybe_finish()
+            self.checkpoint_tenant(owner, request.tenant)
 
     # -- completion accounting -----------------------------------------------------
 
-    def finalize(self, driver: DriverReplica, request: JobRequest,
-                 outcome: str, detail: str, result) -> None:
-        """Record one request's terminal outcome, exactly once.
-
-        Duplicate completions (split-brain double dispatch) hit the
-        ``recorded`` fence and only clean up local state.
-        """
-        if request.recorded:
-            driver.kick()
-            return
-        request.recorded = True
-        request.result = result
-        counts = driver.tenant_counts.setdefault(
-            request.tenant, {"completed": 0, "failed": 0})
-        if result is not None:
-            driver.completed += 1
-            counts["completed"] += 1
-            driver.scheduler.credit(request.tenant, result.duration)
-            self.estimator.observe(request.template_name, self.metrics,
-                                   result)
-            if self.clarity is not None:
-                self.clarity.observe_job(self.metrics, request.plan.job_id,
-                                         engine=self.engine.name,
-                                         tenant=request.tenant)
-        else:
-            driver.failed += 1
-            counts["failed"] += 1
-        self.metrics.record_serve(ServeRecord(
-            tenant=request.tenant, template=request.template_name,
-            arrival=request.arrival, job_id=request.plan.job_id,
-            dispatched=request.dispatched, completed=self.env.now,
-            outcome=outcome, estimate_s=request.estimate_s,
-            slo_s=request.slo_s, detail=detail))
-        # Every consumer has folded the job by now (the serve record
-        # fed drift, exemplars and the capsule's serve line).
-        self.metrics.release_job(request.plan.job_id)
-        request.done.succeed(result)
-        self._outstanding -= 1
+    def _finalized(self, driver: DriverReplica, request: JobRequest) -> None:
         self.checkpoint_tenant(driver, request.tenant)
-        driver.kick()
-        self._maybe_finish()
 
     def _lose(self, request: JobRequest, reason: str) -> None:
         """Give up on a request: no surviving state can complete it."""
         if request.recorded:
             return
-        request.recorded = True
         self.jobs_lost += 1
-        job_id = request.plan.job_id if request.plan is not None else -1
-        self.metrics.record_serve(ServeRecord(
-            tenant=request.tenant, template=request.template_name,
-            arrival=request.arrival, job_id=job_id,
-            dispatched=request.dispatched, outcome="lost",
-            estimate_s=request.estimate_s, slo_s=request.slo_s,
-            detail=reason))
+        self._settle(request, "lost", reason)
         self.record_driver_event("lost", self.owner_of(request.tenant),
                                  tenant=request.tenant,
                                  detail=f"request {request.seq}: {reason}")
-        request.done.succeed(None)
         self._outstanding -= 1
         self._maybe_finish()
-
-    def _maybe_finish(self) -> None:
-        if (self._open_sources == 0 and self._outstanding == 0
-                and self._all_done is not None
-                and not self._all_done.triggered):
-            self._all_done.succeed()
 
     # -- checkpointing -------------------------------------------------------------
 
@@ -373,9 +261,8 @@ class ControlPlane:
         store, so its post-partition mutations are (deliberately) not
         durable.
         """
-        if self.store is None or driver.down or driver.partitioned:
-            return
-        if self.owner_of(tenant) != driver.driver_id:
+        if (self.store is None or driver.down or driver.partitioned
+                or self.owner_of(tenant) != driver.driver_id):
             return
         state = driver.tenant_state(tenant)
         self.env.process(self._write_checkpoint(driver.driver_id, tenant,
@@ -392,11 +279,8 @@ class ControlPlane:
         while True:
             yield self.env.timeout(self.policy.checkpoint_interval_s)
             for driver in self.drivers:
-                if driver.down or driver.partitioned:
-                    continue
-                for tenant in sorted(self.assignment):
-                    if self.assignment[tenant] == driver.driver_id:
-                        self.checkpoint_tenant(driver, tenant)
+                for tenant in self._shard(driver.driver_id):
+                    self.checkpoint_tenant(driver, tenant)
 
     # -- membership, election, failover ----------------------------------------------
 
@@ -425,7 +309,6 @@ class ControlPlane:
 
     def _evaluate_view(self, d: DriverReplica, now: float) -> None:
         timeout = self.policy.heartbeat_timeout_s
-        suspected = set()
         for peer in self.drivers:
             if peer.driver_id == d.driver_id:
                 continue
@@ -441,8 +324,8 @@ class ControlPlane:
                 d.suspects.discard(peer.driver_id)
                 self.record_driver_event("heartbeat-restore", d.driver_id,
                                          peer_id=peer.driver_id)
-            if stale:
-                suspected.add(peer.driver_id)
+        # The view now suspects exactly the stale peers.
+        suspected = set(d.suspects)
         if self.num_drivers > 1:
             # "All peers unreachable" is ambiguous: am I partitioned, or
             # did everyone else crash?  The metadata fabric is the
@@ -491,13 +374,11 @@ class ControlPlane:
         span_id = self.metrics.new_span_id()
         if dead.driver_id in self.ring and len(self.ring) > 1:
             self.ring.remove(dead.driver_id)
-        shard = sorted(t for t, owner in self.assignment.items()
-                       if owner == dead.driver_id)
-        resumed = replayed = lost = restored = 0
+        shard = self._shard(dead.driver_id)
+        tally = dict.fromkeys(("resumed", "replayed", "lost", "restored"), 0)
         adopters: Dict[str, int] = {}
         for tenant in shard:
             adopter_id = self.ring.assign(tenant)
-            adopter = self.drivers[adopter_id]
             self.assignment[tenant] = adopter_id
             self.epochs[tenant] = self.epochs.get(tenant, 0) + 1
             self.tenants_reassigned += 1
@@ -505,31 +386,27 @@ class ControlPlane:
             self.record_driver_event(
                 "reassign", adopter_id, peer_id=dead.driver_id,
                 tenant=tenant, detail=f"epoch {self.epochs[tenant]}")
-            r, p, l, rs = yield from self._adopt(dead, adopter, tenant,
-                                                 span_id)
-            resumed += r
-            replayed += p
-            lost += l
-            restored += rs
+            yield from self._adopt(dead, self.drivers[adopter_id], tenant,
+                                   span_id, tally)
         end = self.env.now
         self.metrics.record_span(SpanRecord(
             span_id=span_id, trace_id="controlplane", parent_id=None,
             kind=SPAN_FAILOVER, name=f"failover:driver{dead.driver_id}",
             start=detect, end=end,
             attrs={"dead_driver": dead.driver_id,
-                   "tenants": len(shard), "resumed": resumed,
-                   "replayed": replayed, "lost": lost,
-                   "restored_checkpoints": restored}))
+                   "tenants": len(shard), "resumed": tally["resumed"],
+                   "replayed": tally["replayed"], "lost": tally["lost"],
+                   "restored_checkpoints": tally["restored"]}))
         self.failovers.append(FailoverSummary(
             at=detect, completed_at=end, dead_driver=dead.driver_id,
             incarnation=incarnation, tenants=tuple(shard),
-            adopters=adopters, resumed=resumed, replayed=replayed,
-            lost=lost, restored=restored))
+            adopters=adopters, **tally))
         self._maybe_finish()
 
     def _adopt(self, dead: DriverReplica, adopter: DriverReplica,
-               tenant: str, span_id: int):
-        """Move one tenant to ``adopter``, restoring its checkpoint."""
+               tenant: str, span_id: int, tally: Dict[str, int]):
+        """Move one tenant to ``adopter``, restoring its checkpoint;
+        counts what became of its requests into ``tally``."""
         state = None
         if self.store is not None:
             try:
@@ -537,76 +414,54 @@ class ControlPlane:
                     self._driver_fabric[adopter.driver_id], tenant)
             except ReproError:
                 state = None
-        resumed = replayed = lost = 0
-        restored = 0
         adopter.ensure_tenant(tenant)
-        if state is not None:
-            restored = 1
+        if state is None:
+            # Nothing durable: the shard's queued and in-flight
+            # requests die with the driver.
+            for request in dead.held_requests(tenant):
+                if not request.recorded:
+                    self._lose(request, f"driver {dead.driver_id} died "
+                                        f"without a checkpoint")
+                    tally["lost"] += 1
+        else:
+            tally["restored"] += 1
             self.record_driver_event(
                 "checkpoint-restore", adopter.driver_id,
                 peer_id=dead.driver_id, tenant=tenant,
                 detail=f"{len(state['queued'])} queued, "
                        f"{len(state['inflight'])} in flight")
             adopter.restore_tenant(tenant, state)
-            for job_id, seq, _dispatched in state["inflight"]:
+            # In-flight jobs resume and queued requests replay -- unless
+            # the partitioned owner dispatched one after its last
+            # durable checkpoint (split-brain): the running job is then
+            # adopted instead of replaying a duplicate.
+            pending = [(seq, job_id) for job_id, seq, _ in state["inflight"]]
+            pending += [(seq, None) for seq in state["queued"]]
+            for seq, job_id in pending:
                 request = self._requests.get(seq)
                 if request is None or request.recorded:
                     continue
-                driver_proc = self._job_procs.get(job_id)
-                if driver_proc is None:
-                    if not self._replay(adopter, dead, request):
-                        self._lose(request,
-                                   f"job {job_id} unrecoverable after "
-                                   f"driver {dead.driver_id} failure")
-                        lost += 1
-                    else:
-                        replayed += 1
-                    continue
-                self._resume(adopter, dead, request, job_id, driver_proc,
-                             span_id)
-                resumed += 1
-            for seq in state["queued"]:
-                request = self._requests.get(seq)
-                if request is None or request.recorded:
-                    continue
-                if (request.plan is not None
-                        and request.plan.job_id in self._job_procs):
-                    # Split-brain: the partitioned owner dispatched it
-                    # after its last durable checkpoint.  Adopt the
-                    # running job instead of replaying a duplicate.
-                    self._resume(adopter, dead, request,
-                                 request.plan.job_id,
-                                 self._job_procs[request.plan.job_id],
+                if job_id is None and request.plan is not None:
+                    job_id = request.plan.job_id
+                job = self._job_procs.get(job_id)
+                if job is not None:
+                    self._resume(adopter, dead, request, job_id, job,
                                  span_id)
-                    resumed += 1
-                    continue
-                if self._replay(adopter, dead, request):
-                    replayed += 1
+                    tally["resumed"] += 1
+                elif self._replay(adopter, dead, request):
+                    tally["replayed"] += 1
                 else:
-                    self._lose(request,
-                               f"request {seq} unrecoverable after "
-                               f"driver {dead.driver_id} failure")
-                    lost += 1
-        else:
-            # Nothing durable: the shard's queued and in-flight
-            # requests die with the driver.
-            for request in dead.held_requests(tenant):
-                if request.recorded:
-                    continue
-                self._lose(request,
-                           f"driver {dead.driver_id} died without a "
-                           f"checkpoint")
-                lost += 1
+                    self._lose(request, f"request {seq} unrecoverable after "
+                                        f"driver {dead.driver_id} failure")
+                    tally["lost"] += 1
         for request in self._orphans.pop(tenant, []):
             adopter.enqueue(request)
         adopter.kick()
-        return resumed, replayed, lost, restored
 
     def _resume(self, adopter: DriverReplica, dead: DriverReplica,
                 request: JobRequest, job_id: int, driver_proc,
                 span_id: int) -> None:
         """Re-attach a still-running engine job to the adopter."""
-        adopter._running[job_id] = request
         adopter.attach(request, driver_proc)
         self.jobs_resumed += 1
         self.record_driver_event(
@@ -648,8 +503,7 @@ class ControlPlane:
             for request in driver.held_requests():
                 self._lose(request, f"driver {driver_id} crashed with "
                                     f"failover disabled")
-            driver._queue = []
-            driver._running = {}
+            driver._reset(driver.scheduler)
             driver._admitting = None
         self._maybe_finish()
 
@@ -658,13 +512,8 @@ class ControlPlane:
         driver = self._driver(driver_id)
         if not driver.down:
             raise SimulationError(f"driver {driver_id} is not down")
-        driver.revive(self.env.now, self.num_drivers)
-        if driver_id not in self.ring:
-            self.ring.add(driver_id)
-        self.record_driver_event(
-            "driver-restart", driver_id,
-            detail=f"incarnation {driver.incarnation}")
-        self._drain_orphans_for(driver_id)
+        driver.revive()
+        self._rejoin(driver, "driver-restart")
 
     def partition_driver(self, driver_id: int) -> None:
         """Cut one driver off from its peers and the checkpoint store."""
@@ -683,23 +532,23 @@ class ControlPlane:
         if not driver.partitioned:
             raise SimulationError(f"driver {driver_id} is not partitioned")
         driver.partitioned = False
+        self._rejoin(driver, "partition-heal")
+        driver.kick()
+
+    def _rejoin(self, driver: DriverReplica, kind: str) -> None:
+        """Return a driver to service with a fresh liveness view; it
+        takes over the orphans buffered for the shard it still owns."""
         driver.incarnation += 1
         driver.last_heard = {peer: self.env.now
                              for peer in range(self.num_drivers)}
-        if driver_id not in self.ring:
-            self.ring.add(driver_id)
+        if driver.driver_id not in self.ring:
+            self.ring.add(driver.driver_id)
         self.record_driver_event(
-            "partition-heal", driver_id,
+            kind, driver.driver_id,
             detail=f"incarnation {driver.incarnation}")
-        self._drain_orphans_for(driver_id)
-        driver.kick()
-
-    def _drain_orphans_for(self, driver_id: int) -> None:
-        for tenant in sorted(self.assignment):
-            if self.assignment[tenant] != driver_id:
-                continue
+        for tenant in self._shard(driver.driver_id):
             for request in self._orphans.pop(tenant, []):
-                self.drivers[driver_id].enqueue(request)
+                driver.enqueue(request)
 
     # -- telemetry -----------------------------------------------------------------
 
@@ -712,22 +561,10 @@ class ControlPlane:
         registry.gauge("repro_cp_leader",
                        "Current leader's driver id",
                        lambda: float(self.leader_id), engine=engine)
-        registry.counter("repro_cp_elections",
-                         "Leader elections after the initial choice",
-                         lambda: float(self.elections), engine=engine)
-        registry.counter("repro_cp_tenants_reassigned",
-                         "Tenant shards moved by failover",
-                         lambda: float(self.tenants_reassigned),
-                         engine=engine)
-        registry.counter("repro_cp_jobs_resumed",
-                         "In-flight jobs adopted without re-execution",
-                         lambda: float(self.jobs_resumed), engine=engine)
-        registry.counter("repro_cp_jobs_replayed",
-                         "Queued requests re-dispatched after failover",
-                         lambda: float(self.jobs_replayed), engine=engine)
-        registry.counter("repro_cp_jobs_lost",
-                         "Requests lost to unrecovered driver failures",
-                         lambda: float(self.jobs_lost), engine=engine)
+        for key, text in _COUNTERS:
+            registry.counter(f"repro_cp_{key}", text,
+                             lambda key=key: float(getattr(self, key)),
+                             engine=engine)
         if self.store is not None:
             store = self.store
             registry.counter("repro_cp_checkpoints",
@@ -751,76 +588,24 @@ class ControlPlane:
 
     # -- driving -------------------------------------------------------------------
 
-    def run(self) -> ControlPlaneReport:
-        """Serve until every source is exhausted and every request has
-        a terminal outcome (completed, failed, shed, or lost)."""
-        if self._ran:
-            raise SimulationError("a ControlPlane can only run once")
-        self._ran = True
-        self._all_done = self.env.event()
-        start = self.env.now
-        if self.obs is not None:
-            # Before the initial leader announcement, so even that
-            # first driver event lands in the unified journal.
-            self.obs.attach(self.engine, tenants=self.tenants)
-            self.obs.start()
+    def _start(self) -> None:
         self.record_driver_event("leader", self.leader_id,
                                  detail="initial (highest id)")
         for driver in self.drivers:
-            driver.last_heard = {peer: start
+            driver.last_heard = {peer: self.env.now
                                  for peer in range(self.num_drivers)}
             driver.start()
-        self._open_sources = len(self._workloads)
-        for tenant, template, arrivals, index in self._workloads:
-            self.env.process(self._source(tenant, template, arrivals,
-                                          index))
+        super()._start()
         self.env.process(self._membership())
         if self.store is not None:
             self.env.process(self._sweep())
-        if self.health is not None:
-            self.health.start()
-        if self.telemetry is not None:
-            registry = self.telemetry.registry
-            # Chains to register_telemetry above via engine.controlplane.
-            self.engine.register_telemetry(registry)
-            retention = getattr(registry, "retention_s", None)
-            if retention is not None:
-                self.ctx.cluster.set_tracker_retention(retention)
-            self.telemetry.start()
-        self._maybe_finish()
-        self.env.run(until=self._all_done)
-        if self.health is not None:
-            self.health.stop()
-        if self.telemetry is not None:
-            self.telemetry.stop()
-        if self.obs is not None:
-            self.obs.stop()
-        duration = self.env.now - start
-        serve = ServeReport.from_metrics(
-            self.metrics, engine_name=self.engine.name,
-            tenants=sorted(self.tenants), duration_s=duration)
-        if self.telemetry is not None:
-            serve.attach_telemetry(self.telemetry.registry)
-        if self.clarity is not None:
-            serve.attach_clarity(self.clarity)
-        datasvc = getattr(self.engine, "datasvc", None)
-        if datasvc is not None:
-            serve.attach_datasvc(datasvc)
-        if self.obs is not None:
-            serve.attach_obs(self.obs)
-        return self._report(serve, duration)
 
-    def _report(self, serve: ServeReport,
-                duration: float) -> ControlPlaneReport:
-        counters = {
-            "elections": float(self.elections),
-            "leader_epoch": float(self.leader_epoch),
-            "tenants_reassigned": float(self.tenants_reassigned),
-            "jobs_resumed": float(self.jobs_resumed),
-            "jobs_replayed": float(self.jobs_replayed),
-            "jobs_lost": float(self.jobs_lost),
-            "requests_orphan_buffered": float(self.orphaned),
-        }
+    def run(self) -> ControlPlaneReport:
+        """Serve (see :meth:`FrontEnd.run`); adds the plane's view."""
+        serve = super().run()
+        counters = {key: float(getattr(self, key)) for key, _ in _COUNTERS}
+        counters["leader_epoch"] = float(self.leader_epoch)
+        counters["requests_orphan_buffered"] = float(self.orphaned)
         if self.store is not None:
             counters.update(self.store.stats())
         per_driver = []
@@ -828,8 +613,7 @@ class ControlPlane:
             per_driver.append({
                 "driver": d.driver_id,
                 "state": d.state,
-                "tenants": sum(1 for owner in self.assignment.values()
-                               if owner == d.driver_id),
+                "tenants": len(self._shard(d.driver_id)),
                 "dispatched": d.dispatched,
                 "completed": d.completed,
                 "failed": d.failed,

@@ -1,12 +1,13 @@
-"""One driver replica: a shard-local job server over the shared engine.
+"""One driver replica: a shard-local driver loop over the shared engine.
 
-Each :class:`DriverReplica` owns the hash-ring shard of tenants the
-:class:`~repro.controlplane.plane.ControlPlane` assigned it and runs
-its own admitted queue, job scheduler, and sequential dispatcher --
-every dispatch costs ``control_service_s`` of driver time, which is the
-serialization that sharding across N replicas parallelizes.  The
-engine's task pool below is shared: replicas shard the *control* plane,
-not the cluster.
+Each :class:`DriverReplica` is a :class:`~repro.serve.frontend.Driver`
+that owns the hash-ring shard of tenants the
+:class:`~repro.controlplane.plane.ControlPlane` assigned it.  It adds
+only what sharding needs to the shared dispatch loop: every dispatch
+costs ``control_service_s`` of driver time (the serialization that
+sharding across N replicas parallelizes), and dispatch is fenced by the
+plane's assignment table.  The engine's task pool below is shared:
+replicas shard the *control* plane, not the cluster.
 
 A replica's life-cycle flags drive the failure semantics:
 
@@ -25,24 +26,20 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.errors import Interrupted, ReproError
+from repro.serve.frontend import Driver, JobRequest
 from repro.serve.scheduler import make_scheduler
-from repro.serve.server import JobRequest
-from repro.simulator import Event
 
 __all__ = ["DriverReplica"]
 
 
-class DriverReplica:
+class DriverReplica(Driver):
     """One of the plane's N drivers; see the module docstring."""
 
     def __init__(self, plane, driver_id: int, policy: str) -> None:
+        super().__init__(plane, make_scheduler(policy))
         self.plane = plane
-        self.env = plane.env
-        self.engine = plane.engine
         self.driver_id = driver_id
         self._policy_name = policy
-        self.scheduler = make_scheduler(policy)
         # Life-cycle.
         self.down = False
         self.partitioned = False
@@ -54,26 +51,14 @@ class DriverReplica:
         self.last_heard: Dict[int, float] = {}
         #: Peers this replica currently suspects dead.
         self.suspects: set = set()
-        # Shard-local serving state.
-        self._queue: List[JobRequest] = []
-        self._running: Dict[int, JobRequest] = {}
-        self._watchers: Dict[int, object] = {}
         #: The request held by the dispatcher during its admission
         #: window (removed from the queue, not yet dispatched).
         self._admitting: Optional[JobRequest] = None
-        self._registered: set = set()
-        self._wakeup: Optional[Event] = None
-        self._dispatcher_proc = None
-        # Counters (report face).
-        self.dispatched = 0
-        self.completed = 0
-        self.failed = 0
+        # Counters (report face); tenant_counts is checkpointed and
+        # restored with the shard.
         self.crashes = 0
         self.fenced = 0
         self.control_busy_s = 0.0
-        #: tenant -> {"completed": n, "failed": n} -- checkpointed and
-        #: restored with the shard.
-        self.tenant_counts: Dict[str, Dict[str, int]] = {}
 
     # -- state ---------------------------------------------------------------------
 
@@ -88,9 +73,16 @@ class DriverReplica:
             return "isolated"
         return "up"
 
+    def _waiting(self) -> List[JobRequest]:
+        """Queued requests plus the one in its admission window: if the
+        driver dies inside that window the adopter replays it from the
+        checkpoint rather than losing it."""
+        admitting = [self._admitting] if self._admitting is not None else []
+        return self._queue + admitting
+
     def queue_depth(self) -> int:
         """Admitted requests waiting (the mid-admission one included)."""
-        return len(self._queue) + (self._admitting is not None)
+        return len(self._waiting())
 
     def running_jobs(self) -> int:
         """Engine jobs this shard currently has in flight."""
@@ -100,39 +92,19 @@ class DriverReplica:
                       ) -> List[JobRequest]:
         """Every request this replica holds (queued, admitting, or
         in flight), optionally filtered to one tenant."""
-        held = list(self._queue)
-        if self._admitting is not None:
-            held.append(self._admitting)
-        held.extend(self._running.values())
+        held = self._waiting() + list(self._running.values())
         if tenant is not None:
             held = [r for r in held if r.tenant == tenant]
         return held
 
-    def ensure_tenant(self, tenant: str) -> None:
-        """Register ``tenant`` with the local scheduler once."""
-        if tenant in self._registered:
-            return
-        self._registered.add(tenant)
-        self.scheduler.register_tenant(
-            tenant, self.plane.tenants[tenant].weight)
-        self.tenant_counts.setdefault(tenant, {"completed": 0, "failed": 0})
-
     def tenant_state(self, tenant: str) -> Dict:
         """The tenant's checkpointable soft state, canonical order."""
-        queued = sorted(r.seq for r in self._queue if r.tenant == tenant)
-        if (self._admitting is not None
-                and self._admitting.tenant == tenant):
-            # Mid-admission requests checkpoint as still queued: if the
-            # driver dies inside the admission window the adopter
-            # replays them rather than losing them.
-            queued = sorted(queued + [self._admitting.seq])
+        queued = sorted(r.seq for r in self._waiting() if r.tenant == tenant)
         inflight = sorted(
             [r.plan.job_id, r.seq, r.dispatched]
             for r in self._running.values() if r.tenant == tenant)
         templates = sorted({r.template_name
                             for r in self.held_requests(tenant)})
-        counts = self.tenant_counts.get(tenant,
-                                        {"completed": 0, "failed": 0})
         return {
             "tenant": tenant,
             "epoch": self.plane.epoch_of(tenant),
@@ -141,8 +113,7 @@ class DriverReplica:
             "templates": templates,
             "virtual_time": self.scheduler.virtual_time(tenant)
             if hasattr(self.scheduler, "virtual_time") else 0.0,
-            "completed": counts["completed"],
-            "failed": counts["failed"],
+            **self.tenant_counts.get(tenant, {"completed": 0, "failed": 0}),
         }
 
     def restore_tenant(self, tenant: str, state: Dict) -> None:
@@ -151,112 +122,47 @@ class DriverReplica:
         self.scheduler.restore_virtual_time(
             tenant, float(state.get("virtual_time", 0.0)))
         counts = self.tenant_counts[tenant]
-        counts["completed"] = max(counts["completed"],
-                                  int(state.get("completed", 0)))
-        counts["failed"] = max(counts["failed"],
-                               int(state.get("failed", 0)))
+        for key in counts:
+            counts[key] = max(counts[key], int(state.get(key, 0)))
 
-    # -- serving -------------------------------------------------------------------
+    # -- the shard's admission window -----------------------------------------------
 
-    def enqueue(self, request: JobRequest) -> None:
-        """Admit one request to this shard's queue and wake dispatch."""
-        self.ensure_tenant(request.tenant)
-        self._queue.append(request)
-        self._kick()
+    def _can_dispatch(self) -> bool:
+        return not (self.down or self.isolated)
 
-    def start(self) -> None:
-        """Spawn the shard's sequential dispatcher process."""
-        self._dispatcher_proc = self.env.process(self._dispatcher())
-
-    def _kick(self) -> None:
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
-
-    def kick(self) -> None:
-        """Public wakeup (the plane pokes adopters after a failover)."""
-        self._kick()
-
-    def _quiesced(self) -> bool:
-        return self.down or self.isolated
-
-    def _dispatcher(self):
+    def _admit(self, request: JobRequest):
         plane = self.plane
+        if plane.owner_of(request.tenant) != self.driver_id:
+            # Ownership moved (we were partitioned and the shard failed
+            # over): the adopter holds the authoritative copy -- drop ours.
+            self.fenced += 1
+            plane.record_driver_event(
+                "fenced", self.driver_id, tenant=request.tenant,
+                detail=f"request {request.seq} now owned by "
+                       f"driver {plane.owner_of(request.tenant)}")
+            return False
         cost = plane.policy.control_service_s
-        try:
-            while True:
-                while self._queue and not self._quiesced():
-                    request = self.scheduler.pick_next(self._queue)
-                    self._queue.remove(request)
-                    if plane.owner_of(request.tenant) != self.driver_id:
-                        # Ownership moved (we were partitioned and the
-                        # shard failed over): the adopter holds the
-                        # authoritative copy -- drop ours.
-                        self.fenced += 1
-                        plane.record_driver_event(
-                            "fenced", self.driver_id,
-                            tenant=request.tenant,
-                            detail=f"request {request.seq} now owned by "
-                                   f"driver {plane.owner_of(request.tenant)}")
-                        continue
-                    self._admitting = request
-                    if cost > 0:
-                        yield self.env.timeout(cost)
-                    self.control_busy_s += cost
-                    if plane.clarity is not None:
-                        plane.clarity.observe_control(self.driver_id, cost,
-                                                      self.env.now)
-                    self._admitting = None
-                    if self.down:
-                        # Crashed inside the admission window; the last
-                        # checkpoint still lists the request as queued,
-                        # so the adopter replays it.
-                        return
-                    if (self.isolated or plane.owner_of(request.tenant)
-                            != self.driver_id):
-                        self._queue.append(request)
-                        break
-                    self._dispatch(request)
-                if self.down:
-                    return
-                self._wakeup = self.env.event()
-                yield self._wakeup
-                self._wakeup = None
-        except Interrupted:
-            self._wakeup = None
-            return
-
-    def _dispatch(self, request: JobRequest) -> None:
-        plane = self.plane
-        if request.plan is None:
-            request.plan = request.template.instantiate(plane.ctx)
-        request.dispatched = self.env.now
-        driver_proc = self.engine.submit_job(request.plan)
-        plane.register_job(request.plan.job_id, driver_proc)
-        self._running[request.plan.job_id] = request
-        self.dispatched += 1
-        self.attach(request, driver_proc)
-        plane.checkpoint_tenant(self, request.tenant)
-
-    def attach(self, request: JobRequest, driver_proc) -> None:
-        """Watch an engine job for this shard (dispatch or adoption)."""
-        watcher = self.env.process(self._watch(request, driver_proc))
-        self._watchers[request.plan.job_id] = watcher
-
-    def _watch(self, request: JobRequest, driver_proc):
-        outcome, detail, result = "completed", "", None
-        try:
-            result = yield driver_proc
-        except Interrupted:
-            # Our driver crashed; the adopter re-attaches from the
-            # checkpoint and the engine job keeps running untouched.
-            return
-        except ReproError as error:
-            outcome, detail = "failed", type(error).__name__
-        self._running.pop(request.plan.job_id, None)
-        self._watchers.pop(request.plan.job_id, None)
+        self._admitting = request
+        if cost > 0:
+            yield self.env.timeout(cost)
+        self.control_busy_s += cost
+        if plane.clarity is not None:
+            plane.clarity.observe_control(self.driver_id, cost, self.env.now)
+        self._admitting = None
         if self.down:
-            return
-        self.plane.finalize(self, request, outcome, detail, result)
+            # Crashed inside the admission window; the last checkpoint
+            # still lists the request as queued, so the adopter replays
+            # it.
+            return False
+        if self.isolated or plane.owner_of(request.tenant) != self.driver_id:
+            return None
+        return True
+
+    def _dispatch(self, request: JobRequest):
+        job = super()._dispatch(request)
+        self.plane.register_job(request.plan.job_id, job)
+        self.plane.checkpoint_tenant(self, request.tenant)
+        return job
 
     # -- failure hooks (driven by the plane) -----------------------------------------
 
@@ -272,18 +178,12 @@ class DriverReplica:
                 watcher.interrupt("driver crash")
         self._watchers.clear()
 
-    def revive(self, now: float, num_drivers: int) -> None:
+    def revive(self) -> None:
         """Return to service empty: sticky shards stay where they went."""
         self.down = False
         self.partitioned = False
         self.isolated = False
-        self.incarnation += 1
         self.suspects = set()
-        self.last_heard = {peer: now for peer in range(num_drivers)}
-        self._queue = []
-        self._running = {}
-        self._watchers = {}
+        self._reset(make_scheduler(self._policy_name))
         self._admitting = None
-        self._registered = set()
-        self.scheduler = make_scheduler(self._policy_name)
         self.start()

@@ -5,14 +5,21 @@ answers "how does the system behave as a *service*": open-loop workload
 generators submit jobs over time, an admission controller sheds load,
 a job scheduler divides capacity between tenants, and per-tenant SLO
 accounting reports latency distributions with queueing-delay
-attribution.  See ``docs/serving.md``.
+attribution.
+
+One front-end (:mod:`repro.serve.frontend`) does submit, per-driver
+dispatch, completion watching, finalize and the observer life-cycle;
+:class:`JobServer` is its one-driver case and
+:class:`repro.controlplane.ControlPlane` its sharded extension.  See
+``docs/serving.md``.
 """
 
 from repro.serve.admission import AdmissionController, CostEstimator
 from repro.serve.scheduler import (DeadlineScheduler, FifoScheduler,
                                    JobScheduler, WeightedFairScheduler,
                                    make_scheduler)
-from repro.serve.server import JobRequest, JobServer, Tenant
+from repro.serve.frontend import JobRequest, Tenant
+from repro.serve.server import JobServer
 from repro.serve.slo import ServeReport, TenantStats
 from repro.serve.workload import (BurstyArrivals, JobTemplate,
                                   PoissonArrivals, TraceArrivals,

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:
-    from repro.serve.server import JobRequest
+    from repro.serve.frontend import JobRequest
 
 __all__ = ["JobScheduler", "FifoScheduler", "WeightedFairScheduler",
            "DeadlineScheduler", "make_scheduler"]
