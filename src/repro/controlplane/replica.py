@@ -60,6 +60,9 @@ class DriverReplica(Driver):
         self.fenced = 0
         self.control_busy_s = 0.0
 
+    def _front(self):
+        return self.plane
+
     # -- state ---------------------------------------------------------------------
 
     @property
@@ -105,6 +108,8 @@ class DriverReplica(Driver):
             for r in self._running.values() if r.tenant == tenant)
         templates = sorted({r.template_name
                             for r in self.held_requests(tenant)})
+        counts = self.tenant_counts.get(tenant,
+                                        {"completed": 0, "failed": 0})
         return {
             "tenant": tenant,
             "epoch": self.plane.epoch_of(tenant),
@@ -113,7 +118,8 @@ class DriverReplica(Driver):
             "templates": templates,
             "virtual_time": self.scheduler.virtual_time(tenant)
             if hasattr(self.scheduler, "virtual_time") else 0.0,
-            **self.tenant_counts.get(tenant, {"completed": 0, "failed": 0}),
+            "completed": counts["completed"],
+            "failed": counts["failed"],
         }
 
     def restore_tenant(self, tenant: str, state: Dict) -> None:
@@ -122,8 +128,10 @@ class DriverReplica(Driver):
         self.scheduler.restore_virtual_time(
             tenant, float(state.get("virtual_time", 0.0)))
         counts = self.tenant_counts[tenant]
-        for key in counts:
-            counts[key] = max(counts[key], int(state.get(key, 0)))
+        counts["completed"] = max(counts["completed"],
+                                  int(state.get("completed", 0)))
+        counts["failed"] = max(counts["failed"],
+                               int(state.get("failed", 0)))
 
     # -- the shard's admission window -----------------------------------------------
 

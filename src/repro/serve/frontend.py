@@ -77,7 +77,6 @@ class Driver:
     down = False
 
     def __init__(self, front: "FrontEnd", scheduler: JobScheduler) -> None:
-        self.front = front
         self.env = front.env
         self.engine = front.engine
         self._reset(scheduler)
@@ -89,6 +88,11 @@ class Driver:
         self.failed = 0
         #: tenant -> {"completed": n, "failed": n}.
         self.tenant_counts: Dict[str, Dict[str, int]] = {}
+
+    def _front(self) -> "FrontEnd":
+        """The front-end whose requests this driver serves (looked up,
+        not stored: the one-driver server is its own front-end)."""
+        raise NotImplementedError
 
     def _reset(self, scheduler: JobScheduler) -> None:
         """Hold nothing: no queue, no watched jobs, no known tenants."""
@@ -104,7 +108,7 @@ class Driver:
             return
         self._registered.add(tenant)
         self.scheduler.register_tenant(tenant,
-                                       self.front.tenants[tenant].weight)
+                                       self._front().tenants[tenant].weight)
         self.tenant_counts.setdefault(tenant, {"completed": 0, "failed": 0})
 
     def enqueue(self, request: JobRequest) -> None:
@@ -158,7 +162,7 @@ class Driver:
     def _dispatch(self, request: JobRequest):
         """Inject the request's job into the engine; returns its process."""
         if request.plan is None:
-            request.plan = request.template.instantiate(self.front.ctx)
+            request.plan = request.template.instantiate(self._front().ctx)
         request.dispatched = self.env.now
         job = self.engine.submit_job(request.plan)
         self.dispatched += 1
@@ -186,7 +190,7 @@ class Driver:
         self._running.pop(request.plan.job_id, None)
         self._watchers.pop(request.plan.job_id, None)
         if not self.down:
-            self.front.finalize(self, request, outcome, detail, result)
+            self._front().finalize(self, request, outcome, detail, result)
 
 
 class FrontEnd:
@@ -388,9 +392,16 @@ class FrontEnd:
         return self._open_sources == 0 and self._outstanding == 0
 
     def _maybe_finish(self) -> None:
-        if (self._idle() and self._all_done is not None
-                and not self._all_done.triggered):
+        """A source ended or a request settled: end the run if idle."""
+        self._finish_if_idle()
+
+    def _finish_if_idle(self) -> bool:
+        """End the run if nothing is left to serve; returns idleness."""
+        if not self._idle():
+            return False
+        if self._all_done is not None and not self._all_done.triggered:
             self._all_done.succeed()
+        return True
 
     # -- driving -------------------------------------------------------------------
 

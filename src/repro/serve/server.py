@@ -72,6 +72,9 @@ class JobServer(FrontEnd, Driver):
     def _owner(self, tenant: str) -> Driver:
         return self
 
+    def _front(self) -> FrontEnd:
+        return self
+
     def _start(self) -> None:
         super()._start()
         self.start()
@@ -90,11 +93,12 @@ class JobServer(FrontEnd, Driver):
         return (self.max_concurrent_jobs is None
                 or len(self._running) < self.max_concurrent_jobs)
 
-    def _stop(self) -> bool:
-        # The dispatcher ends the run itself once the stream drains.
-        FrontEnd._maybe_finish(self)
-        return self._idle()
-
+    # The one driver ends the run from its dispatcher, which then exits;
+    # a source ending or a request settling only wakes it.  (The plane
+    # ends its run from finalize and its replicas never exit.)  Each
+    # path keeps the kernel event sequence it has always had.
     def _maybe_finish(self) -> None:
-        # Wake the dispatcher; its _stop() notices the drain.
         self.kick()
+
+    def _stop(self) -> bool:
+        return self._finish_if_idle()

@@ -12,14 +12,17 @@ must keep on either of them:
   ``ServeRecord`` and its ``done`` event fired, faults included;
 * observer timing invisibility: telemetry, clarity, the obs plane and
   capsule recording never move a dispatch or completion time;
-* the life-cycle guards on ``submit()`` and ``add_workload()``.
+* the life-cycle guards on ``submit()`` and ``add_workload()``;
+* a finished one-driver server holds no reference cycle.
 
 The fault-matrix CI job runs this file under ``REPRO_TEST_SEED`` 0/1/2,
 so the seeded scenarios assert invariants, never exact counts.
 """
 
+import gc
 import json
 import os
+import weakref
 from pathlib import Path
 
 import pytest
@@ -275,3 +278,22 @@ def test_add_workload_during_run_raises(kind):
     serve_report(front)
     assert len(errors) == 1 and "submit()" in errors[0]
     assert len(front.metrics.serves) == 2
+
+
+def test_finished_server_is_freed_without_the_cycle_collector():
+    # The server is its own driver; it must look itself up rather than
+    # hold a reference to itself (docs/simulator.md: no cycles).
+    ctx = make_ctx()
+    server = make_front("server", ctx)
+    server.add_workload("t", small_wc(ctx), TraceArrivals([0.0, 1.0]))
+    server.run()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        ref = weakref.ref(server)
+        del server
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
